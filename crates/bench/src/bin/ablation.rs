@@ -16,6 +16,7 @@
 //! ```
 
 use dangle_bench::{measure, measure_with, ratio, render_table, Artifact, Config};
+use dangle_core::ShadowPoolConfig;
 use dangle_interp::backend::{Backend, CombinedBackend, EFenceBackend, ShadowPoolBackend};
 use dangle_pool::PoolConfig;
 use dangle_telemetry::Json;
@@ -173,7 +174,10 @@ fn main() {
 /// A ShadowPoolBackend whose pool runtime has the shared free list
 /// disabled (the no-reuse regime of §3.2).
 fn shadow_pool_without_reuse() -> ShadowPoolBackend {
-    ShadowPoolBackend::with_pool_config(PoolConfig { reuse_pages: false })
+    ShadowPoolBackend::with_config(ShadowPoolConfig {
+        pool: PoolConfig { reuse_pages: false },
+        ..Default::default()
+    })
 }
 
 /// Ablation 5: the §6 "comprehensive tool" claim — temporal (ours) +

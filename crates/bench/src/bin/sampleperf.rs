@@ -34,7 +34,7 @@
 
 use dangle_apa::{corpus, parse, pool_allocate, pool_allocate_with_lint_mode, LintMode};
 use dangle_bench::{render_table, Artifact};
-use dangle_core::SamplingConfig;
+use dangle_core::{SamplingConfig, ShadowPoolConfig};
 use dangle_interp::backend::ShadowPoolBackend;
 use dangle_interp::{is_detection, run_with, Engine};
 use dangle_telemetry::Json;
@@ -85,7 +85,9 @@ fn run_once(
     };
     let mut m = Machine::new();
     let mut b = match sampling {
-        Some(cfg) => ShadowPoolBackend::with_sampling(cfg),
+        Some(sampling) => {
+            ShadowPoolBackend::with_config(ShadowPoolConfig { sampling, ..Default::default() })
+        }
         None => ShadowPoolBackend::new(),
     };
     let (output, detected, trap) = match run_with(engine, &transformed, &mut m, &mut b, FUEL) {

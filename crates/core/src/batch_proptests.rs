@@ -14,9 +14,8 @@
 //! differential tests.
 
 use crate::shadow::{BatchConfig, ShadowConfig, ShadowHeap};
-use crate::ShadowPool;
+use crate::{ShadowPool, ShadowPoolConfig};
 use dangle_heap::{Allocator, SysHeap};
-use dangle_pool::PoolConfig;
 use dangle_vmm::{CostModel, Machine, MachineConfig, VirtAddr};
 
 use dangle_testkit::SeededRng as TestRng;
@@ -33,10 +32,8 @@ fn machine() -> Machine {
 }
 
 fn batched_pool() -> ShadowPool {
-    ShadowPool::with_batch(
-        PoolConfig::default(),
-        BatchConfig { enabled: true, ..BatchConfig::default() },
-    )
+    let batch = BatchConfig { enabled: true, ..BatchConfig::default() };
+    ShadowPool::with_config(ShadowPoolConfig { batch, ..ShadowPoolConfig::default() })
 }
 
 /// One tracked object: its address in the legacy run, in the batched run,
@@ -258,10 +255,10 @@ fn epoch_mode_converges_to_legacy_protection_map() {
         let mut ml = machine();
         let mut sl = ShadowPool::new();
         let mut mb = machine();
-        let mut sb = ShadowPool::with_batch(
-            PoolConfig::default(),
-            BatchConfig { enabled: true, protect_epoch: Some(8), ..BatchConfig::default() },
-        );
+        let batch =
+            BatchConfig { enabled: true, protect_epoch: Some(8), ..BatchConfig::default() };
+        let mut sb =
+            ShadowPool::with_config(ShadowPoolConfig { batch, ..ShadowPoolConfig::default() });
         let pl = sl.create(16);
         let pb = sb.create(16);
 

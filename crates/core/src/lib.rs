@@ -17,6 +17,10 @@
 //!   shadow page of the pool returns to a shared free list, so virtual
 //!   address consumption is bounded by the *live* pools.
 //!
+//! Both run one page-aliasing engine (a crate-private module): the
+//! detectors differ only in where canonical memory and recycled shadow
+//! pages come from.
+//!
 //! Supporting modules:
 //!
 //! * [`diag`] — site-tagged object registry; turns MMU traps into
@@ -32,6 +36,7 @@
 //!   with actual `memfd`/`mmap`/`mprotect` and SIGSEGV.
 
 pub mod diag;
+mod engine;
 pub mod exhaustion;
 pub mod gc;
 pub mod pool_shadow;
@@ -43,9 +48,10 @@ pub mod sharded;
 pub mod os;
 
 pub use diag::{DanglingKind, DanglingReport, ObjectRecord, ObjectState, SiteId, SiteTable};
+pub use engine::Detector;
 pub use gc::GcReport;
-pub use pool_shadow::{FreedSpan, ShadowPool};
-pub use sampling::{SampleDecision, SamplingConfig, SamplingPolicy, SiteSafety};
+pub use pool_shadow::{FreedSpan, ShadowPool, ShadowPoolConfig};
+pub use sampling::{SampleDecision, SamplingConfig, SamplingPolicy};
 pub use shadow::{BatchConfig, ShadowConfig, ShadowHeap, SHADOW_WORD};
 pub use sharded::{EpochFreeList, ShardedShadowPool};
 

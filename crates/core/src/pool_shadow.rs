@@ -14,18 +14,18 @@
 //!
 //! This turns the basic scheme's unbounded virtual-address growth into
 //! growth proportional to the *live* pools only, which the paper's §4.3
-//! measurements show is tiny for real servers.
+//! measurements show is tiny for real servers. The mechanism is the shared
+//! page-aliasing engine's, run over a [`PoolSet`]; this module adds pool
+//! lifetimes and the per-pool bookkeeping of the §3.4 GC.
 
-use crate::diag::{DanglingReport, ObjectRegistry, SiteId, SiteTable};
-use crate::sampling::{self, SampleDecision, SamplingConfig, SamplingPolicy, SiteSafety};
-use crate::shadow::{merge_run, runs_overlap, BatchConfig, Extent, TRAP_CONTEXT_EVENTS};
-use dangle_heap::{header, AllocError, AllocStats};
-use dangle_telemetry::{Category, EventKind, TrapReport};
+use crate::diag::SiteId;
+use crate::engine::{front_door_methods, runs_overlap, BatchConfig, PageSource, Run, ShadowEngine};
+use crate::sampling::SamplingConfig;
+use dangle_heap::AllocStats;
 use dangle_pool::{PoolConfig, PoolError, PoolId, PoolSet};
-use dangle_vmm::{Machine, PageNum, Protection, Trap, VirtAddr, PAGE_MASK};
+use dangle_telemetry::Category;
+use dangle_vmm::{Machine, PageNum, Trap, VirtAddr};
 use std::collections::HashMap;
-
-use crate::shadow::SHADOW_WORD;
 
 /// One freed object's shadow span, kept per pool for the §3.4 GC.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -34,6 +34,65 @@ pub struct FreedSpan {
     pub base: PageNum,
     /// Number of pages.
     pub span: usize,
+}
+
+/// Configuration of a [`ShadowPool`] (and of every shard of a
+/// [`crate::ShardedShadowPool`]).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct ShadowPoolConfig {
+    /// The pool runtime's configuration (e.g. VA reuse off, for ablations).
+    pub pool: PoolConfig,
+    /// Vectored-syscall batching (see [`BatchConfig`]).
+    pub batch: BatchConfig,
+    /// Sampled protection (see [`SamplingConfig`]).
+    pub sampling: SamplingConfig,
+}
+
+/// Canonical memory from the pools' size-class pages; recycled shadow
+/// pages from the shared page free list, registered with their pool so
+/// `pooldestroy` releases them.
+impl PageSource for PoolSet {
+    type Scope = PoolId;
+    type Error = PoolError;
+    const SPANS: [&'static str; 3] = ["pool.alloc", "pool.free", "pool.flush"];
+
+    fn alloc(
+        &mut self,
+        machine: &mut Machine,
+        pool: PoolId,
+        size: usize,
+    ) -> Result<VirtAddr, PoolError> {
+        PoolSet::alloc(self, machine, pool, size)
+    }
+
+    fn free(
+        &mut self,
+        machine: &mut Machine,
+        pool: PoolId,
+        addr: VirtAddr,
+    ) -> Result<(), PoolError> {
+        PoolSet::free(self, machine, pool, addr)
+    }
+
+    fn size_of(&self, machine: &mut Machine, addr: VirtAddr) -> Result<usize, PoolError> {
+        PoolSet::size_of(self, machine, addr)
+    }
+
+    fn take_run(&mut self, pages: usize, exact: bool) -> Option<Run> {
+        if exact {
+            self.take_free_run(pages).map(|base| (base, pages))
+        } else {
+            self.take_free_run_capped(pages)
+        }
+    }
+
+    fn note_run(&mut self, machine: &mut Machine, base: VirtAddr, pages: usize, recycled: bool) {
+        PoolSet::note_run(self, machine, base, pages, recycled);
+    }
+
+    fn register(&mut self, pool: PoolId, base: PageNum, pages: usize) -> Result<(), PoolError> {
+        self.register_extra_run(pool, base, pages)
+    }
 }
 
 /// The pool-based shadow-page detector (the paper's production
@@ -55,88 +114,46 @@ pub struct FreedSpan {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ShadowPool {
-    pools: PoolSet,
-    registry: ObjectRegistry,
-    sites: SiteTable,
-    stats: AllocStats,
+    engine: ShadowEngine<PoolSet>,
     /// Shadow pages registered per pool (for registry cleanup at destroy).
     shadow_pages: HashMap<PoolId, Vec<PageNum>>,
     /// Freed-object shadow spans per pool (candidates for the §3.4 GC).
     freed: HashMap<PoolId, Vec<FreedSpan>>,
     /// Live objects per pool: user address -> size. Scanned by the GC.
     live: HashMap<PoolId, HashMap<VirtAddr, usize>>,
-    last_report: Option<DanglingReport>,
-    /// Cached telemetry handles for the per-alloc counters, resolved on
-    /// first use so the hot path skips the by-name registry lookup.
-    recycled_counter: Option<dangle_telemetry::CounterHandle>,
-    fresh_counter: Option<dangle_telemetry::CounterHandle>,
-    /// Vectored-syscall batching configuration (off by default).
-    batch: BatchConfig,
-    /// Bump extents of pre-aliased shadow pages, keyed by pool and size
-    /// class (batched mode). Pools carve canonical memory per size class,
-    /// so interleaved allocations of different classes advance different
-    /// canonical pages — one extent per (pool, class) keeps each stream
-    /// amortising instead of thrashing.
-    extents: HashMap<(PoolId, usize), Extent>,
-    /// Protection runs deferred by [`BatchConfig::protect_epoch`], sorted
-    /// and coalesced; global across pools since `mprotect` ranges are pure
-    /// VA. Empty between frees in the default eager mode.
-    pending_protect: Vec<(PageNum, usize)>,
-    /// Frees accumulated since the last protection flush.
-    pending_frees: usize,
-    /// Sampled-protection decision engine (inert unless constructed via
-    /// [`ShadowPool::with_sampling`]).
-    sampling: SamplingPolicy,
+}
+
+impl Default for ShadowPool {
+    fn default() -> ShadowPool {
+        ShadowPool::new()
+    }
 }
 
 impl ShadowPool {
-    /// Creates a detector with a default pool configuration.
+    /// Creates a detector with the default configuration.
     pub fn new() -> ShadowPool {
-        ShadowPool::default()
+        ShadowPool::with_config(ShadowPoolConfig::default())
     }
 
-    /// Creates a detector with an explicit pool configuration.
-    pub fn with_config(config: PoolConfig) -> ShadowPool {
-        ShadowPool { pools: PoolSet::with_config(config), ..ShadowPool::default() }
-    }
-
-    /// Creates a detector with explicit pool and vectored-syscall batching
-    /// configurations (see [`BatchConfig`]).
-    pub fn with_batch(config: PoolConfig, batch: BatchConfig) -> ShadowPool {
-        ShadowPool { pools: PoolSet::with_config(config), batch, ..ShadowPool::default() }
-    }
-
-    /// Creates a detector with explicit pool, batching and sampled-
-    /// protection configurations (see [`SamplingConfig`]). With sampling
-    /// off this is exactly [`ShadowPool::with_batch`].
-    pub fn with_sampling(
-        config: PoolConfig,
-        batch: BatchConfig,
-        sampling: SamplingConfig,
-    ) -> ShadowPool {
+    /// Creates a detector with explicit pool, batching and sampling
+    /// configurations.
+    pub fn with_config(config: ShadowPoolConfig) -> ShadowPool {
+        let pools = PoolSet::with_config(config.pool);
         ShadowPool {
-            pools: PoolSet::with_config(config),
-            batch,
-            sampling: SamplingPolicy::new(sampling),
-            ..ShadowPool::default()
+            engine: ShadowEngine::new(pools, config.batch, config.sampling),
+            shadow_pages: HashMap::new(),
+            freed: HashMap::new(),
+            live: HashMap::new(),
         }
     }
 
-    /// The batching configuration this detector runs with.
-    pub fn batch_config(&self) -> BatchConfig {
-        self.batch
-    }
-
-    /// The sampled-protection configuration this detector runs with.
-    pub fn sampling_config(&self) -> SamplingConfig {
-        self.sampling.config()
-    }
+    front_door_methods!();
 
     /// `poolinit`. See [`PoolSet::create`].
     pub fn create(&mut self, elem_hint: usize) -> PoolId {
-        let id = self.pools.create(elem_hint);
+        let id = self.engine.source.create(elem_hint);
         self.shadow_pages.insert(id, Vec::new());
         self.freed.insert(id, Vec::new());
         self.live.insert(id, HashMap::new());
@@ -154,261 +171,15 @@ impl ShadowPool {
         size: usize,
         site: SiteId,
     ) -> Result<VirtAddr, PoolError> {
-        machine.span_enter("pool.alloc", Category::DetectorMetadata);
-        let r = self.alloc_at_inner(machine, pool, size, site);
-        machine.span_exit();
-        r
-    }
-
-    fn alloc_at_inner(
-        &mut self,
-        machine: &mut Machine,
-        pool: PoolId,
-        size: usize,
-        site: SiteId,
-    ) -> Result<VirtAddr, PoolError> {
-        // Sampled protection (inert by default). Host-side decision — no
-        // simulated cycles — so N = 1 is byte-identical to the unsampled
-        // detector. Counters track *allocation decisions*; the free path
-        // routes silently.
-        let sampled = if self.sampling.enabled() {
-            let class = header::class_index(size).unwrap_or(usize::MAX);
-            match self.sampling.decide(site, SiteSafety::Unknown, class) {
-                SampleDecision::Protect { sampled } => {
-                    machine.telemetry_mut().counter_add(sampling::COUNTER_PROTECTED, 1);
-                    sampled
-                }
-                SampleDecision::Skip { budget_exhausted } => {
-                    let t = machine.telemetry_mut();
-                    t.counter_add(sampling::COUNTER_SKIPPED, 1);
-                    if budget_exhausted {
-                        t.counter_add(sampling::COUNTER_BUDGET_EXHAUSTED, 1);
-                    }
-                    return self.pools.alloc(machine, pool, size);
-                }
-            }
-        } else {
-            false
-        };
-        let total = size
-            .checked_add(SHADOW_WORD)
-            .ok_or(PoolError::Alloc(AllocError::TooLarge { size }))?;
-        let canon = self.pools.alloc(machine, pool, total)?;
-        let span = canon.span_pages(total);
-        let canon_page = canon.page();
-        // Shadow pages also recycle virtual addresses from the shared free
-        // list; multi-page spans take contiguous runs. Batched mode serves
-        // single-page objects from per-pool extents instead; extent pages
-        // are registered with the pool at build time.
-        let shadow_base = if self.batch.enabled && span == 1 {
-            let class = header::class_index(total).unwrap_or(usize::MAX);
-            self.extent_page(machine, pool, canon_page, class)?
-        } else {
-            let base = self.legacy_shadow_alias(machine, canon_page, span)?;
-            self.pools.register_extra_run(pool, base.page(), span)?;
-            base
-        };
-        let shadow_start = shadow_base.page();
-        self.shadow_pages
-            .entry(pool)
-            .or_default()
-            .extend((0..span as u64).map(|i| shadow_start.add(i)));
-        let shadow_hidden = shadow_base.add(canon.offset() as u64);
-        machine.store_u64(shadow_hidden, canon_page.base().raw())?;
-        let user = shadow_hidden.add(SHADOW_WORD as u64);
-        self.registry.insert_range(user, size, site, shadow_start, span);
-        if sampled {
-            self.registry.note_sampled(true);
+        let (user, shadow) = self.engine.alloc(machine, pool, size, site)?;
+        if let Some((start, span)) = shadow {
+            self.shadow_pages
+                .entry(pool)
+                .or_default()
+                .extend((0..span as u64).map(|i| start.add(i)));
+            self.live.entry(pool).or_default().insert(user, size);
         }
-        if !machine.telemetry().call_stack().is_empty() {
-            let stack = machine.telemetry().call_stack().to_vec();
-            self.registry.note_alloc_stack(&stack);
-        }
-        self.live.entry(pool).or_default().insert(user, size);
-        self.stats.note_alloc(size);
         Ok(user)
-    }
-
-    /// Bumps the cached `pool.pages_recycled` / `pool.pages_fresh`
-    /// telemetry counter.
-    fn note_shadow_pages(&mut self, machine: &mut Machine, recycled: bool, n: u64) {
-        let t = machine.telemetry_mut();
-        if !t.enabled() {
-            return;
-        }
-        let slot = if recycled { &mut self.recycled_counter } else { &mut self.fresh_counter };
-        let h = match *slot {
-            Some(h) => h,
-            None => {
-                let name = if recycled { "pool.pages_recycled" } else { "pool.pages_fresh" };
-                let h = t.metrics_mut().counter_handle(name);
-                *slot = Some(h);
-                h
-            }
-        };
-        t.metrics_mut().add(h, n);
-    }
-
-    /// The one-syscall-per-allocation shadow alias of the paper's §3.3:
-    /// a recycled run from the shared free list when available, a fresh
-    /// `mremap` alias otherwise.
-    fn legacy_shadow_alias(
-        &mut self,
-        machine: &mut Machine,
-        canon_page: PageNum,
-        span: usize,
-    ) -> Result<VirtAddr, PoolError> {
-        match self.pools.take_free_run(span) {
-            Some(pg) => {
-                machine.alias_fixed(canon_page.base(), pg.base(), span)?;
-                machine.note_event(pg.base(), EventKind::FreeListHit { pages: span as u32 });
-                self.note_shadow_pages(machine, true, span as u64);
-                Ok(pg.base())
-            }
-            None => {
-                let base = machine.mremap_alias(canon_page.base(), span)?;
-                machine.note_event(base, EventKind::FreeListMiss { pages: span as u32 });
-                self.note_shadow_pages(machine, false, span as u64);
-                Ok(base)
-            }
-        }
-    }
-
-    /// Batched-mode shadow page for a single-page object of `pool` on
-    /// `canon`: consumes the pool's extent when it matches, re-points a
-    /// stale leftover run in one vectored call, builds a new extent once
-    /// demand on `canon` is proven, and otherwise falls back to a plain
-    /// single alias at exactly the legacy cost.
-    fn extent_page(
-        &mut self,
-        machine: &mut Machine,
-        pool: PoolId,
-        canon: PageNum,
-        class: usize,
-    ) -> Result<VirtAddr, PoolError> {
-        let cap = self.batch.extent_pages.max(2);
-        let key = (pool, class);
-        match self.extents.get(&key).copied() {
-            // Hit: a pre-aliased page, zero syscalls.
-            Some(mut ext) if ext.canon == canon && ext.left > 0 => {
-                let page = ext.next;
-                ext.next = ext.next.add(1);
-                ext.left -= 1;
-                if ext.left == 0 {
-                    ext.grow = (ext.grow * 2).min(cap);
-                }
-                self.extents.insert(key, ext);
-                machine.telemetry_mut().counter_add("shadow.extent_hits", 1);
-                Ok(page.base())
-            }
-            // Demand proven: a second allocation landed on `canon`.
-            Some(ext) if ext.canon == canon => {
-                let (base, got) =
-                    self.build_extent(machine, pool, canon, ext.grow.clamp(2, cap))?;
-                self.extents.insert(
-                    key,
-                    Extent { canon, next: base.add(1), left: got - 1, grow: ext.grow },
-                );
-                Ok(base.base())
-            }
-            // Stale leftover from another canonical page of this pool:
-            // re-point the whole run at `canon` for one vectored crossing.
-            // The pages are registered with the pool already.
-            Some(ext) if ext.left > 0 => {
-                if ext.left == 1 {
-                    machine.alias_fixed(canon.base(), ext.next.base(), 1)?;
-                } else {
-                    let entries: Vec<_> = (0..ext.left as u64)
-                        .map(|i| (canon.base(), ext.next.add(i).base(), 1usize))
-                        .collect();
-                    machine.alias_fixed_batch(&entries)?;
-                }
-                machine.telemetry_mut().counter_add("shadow.extent_repoints", 1);
-                self.extents.insert(
-                    key,
-                    Extent { canon, next: ext.next.add(1), left: ext.left - 1, grow: ext.grow },
-                );
-                Ok(ext.next.base())
-            }
-            // First touch of `canon`: plain alias at legacy cost, plus a
-            // zero-page demand marker.
-            other => {
-                let grow = other.map_or(2, |e| e.grow);
-                let base = self.legacy_shadow_alias(machine, canon, 1)?;
-                self.pools.register_extra_page(pool, base.page())?;
-                self.extents
-                    .insert(key, Extent { canon, next: PageNum(0), left: 0, grow });
-                Ok(base)
-            }
-        }
-    }
-
-    /// Builds a `want`-page extent for `pool` aliasing `canon`: a recycled
-    /// run from the shared free list is re-pointed with one vectored call,
-    /// otherwise fresh contiguous aliases come from one vectored `mremap`.
-    /// The run is registered with the pool here, so `pooldestroy` releases
-    /// leftover extent pages along with everything else.
-    fn build_extent(
-        &mut self,
-        machine: &mut Machine,
-        pool: PoolId,
-        canon: PageNum,
-        want: usize,
-    ) -> Result<(PageNum, usize), PoolError> {
-        let (base, got) = if let Some((rbase, rlen)) = self.pools.take_free_run_capped(want) {
-            if rlen == 1 {
-                machine.alias_fixed(canon.base(), rbase.base(), 1)?;
-            } else {
-                let entries: Vec<_> = (0..rlen as u64)
-                    .map(|i| (canon.base(), rbase.add(i).base(), 1usize))
-                    .collect();
-                machine.alias_fixed_batch(&entries)?;
-            }
-            machine.note_event(rbase.base(), EventKind::FreeListHit { pages: rlen as u32 });
-            self.note_shadow_pages(machine, true, rlen as u64);
-            (rbase, rlen)
-        } else {
-            let ranges = vec![(canon.base(), 1usize); want];
-            let aliases = machine.mremap_alias_batch(&ranges)?;
-            machine.note_event(aliases[0], EventKind::FreeListMiss { pages: want as u32 });
-            self.note_shadow_pages(machine, false, want as u64);
-            (aliases[0].page(), want)
-        };
-        self.pools.register_extra_run(pool, base, got)?;
-        Ok((base, got))
-    }
-
-    /// Applies every pending deferred protection (see
-    /// [`BatchConfig::protect_epoch`]): one plain `mprotect` for a single
-    /// run — the same cost the legacy per-free call pays — or one vectored
-    /// `mprotect` for several. A no-op when nothing is pending; the
-    /// default eager mode calls this at the end of every
-    /// [`ShadowPool::free_at`], and `pooldestroy` always flushes first.
-    pub fn flush_protects(&mut self, machine: &mut Machine) -> Result<(), Trap> {
-        self.pending_frees = 0;
-        if self.pending_protect.is_empty() {
-            return Ok(());
-        }
-        machine.span_enter("pool.flush", Category::DetectorMetadata);
-        let r = self.flush_protects_inner(machine);
-        machine.span_exit();
-        r
-    }
-
-    fn flush_protects_inner(&mut self, machine: &mut Machine) -> Result<(), Trap> {
-        let runs = std::mem::take(&mut self.pending_protect);
-        if let [(base, span)] = runs[..] {
-            machine.mprotect(base.base(), span, Protection::None)?;
-        } else {
-            let ranges: Vec<_> = runs.iter().map(|&(b, s)| (b.base(), s)).collect();
-            machine.mprotect_batch(&ranges, Protection::None)?;
-        }
-        let t = machine.telemetry_mut();
-        t.counter_add("shadow.protect_runs", runs.len() as u64);
-        for &(_, s) in &runs {
-            t.observe("shadow.run_len", s as u64);
-        }
-        Ok(())
     }
 
     /// `poolalloc` + shadow remap (untagged).
@@ -429,7 +200,7 @@ impl ShadowPool {
     /// # Errors
     /// A double free surfaces as a trap on the hidden-word read (see
     /// [`ShadowPool::last_report`]); a wild pointer as
-    /// [`AllocError::InvalidFree`].
+    /// [`dangle_heap::AllocError::InvalidFree`].
     pub fn free_at(
         &mut self,
         machine: &mut Machine,
@@ -437,69 +208,10 @@ impl ShadowPool {
         addr: VirtAddr,
         site: SiteId,
     ) -> Result<(), PoolError> {
-        machine.span_enter("pool.free", Category::DetectorMetadata);
-        let r = self.free_at_inner(machine, pool, addr, site);
-        machine.span_exit();
-        r
-    }
-
-    fn free_at_inner(
-        &mut self,
-        machine: &mut Machine,
-        pool: PoolId,
-        addr: VirtAddr,
-        site: SiteId,
-    ) -> Result<(), PoolError> {
-        if addr.raw() < SHADOW_WORD as u64 {
-            return Err(AllocError::InvalidFree { addr }.into());
+        if let Some((base, span)) = self.engine.free(machine, pool, addr, site)? {
+            self.freed.entry(pool).or_default().push(FreedSpan { base, span });
+            self.live.entry(pool).or_default().remove(&addr);
         }
-        // Sampled mode routes frees by provenance: protected objects live
-        // at registered shadow addresses, unsampled ones at canonical pool
-        // addresses the registry has never seen — a miss is the unchecked
-        // fast path (the pool's block-header check still catches double
-        // frees of unsampled objects as `InvalidFree`).
-        if self.sampling.enabled() && self.registry.lookup(addr).is_none() {
-            return self.pools.free(machine, pool, addr);
-        }
-        let hidden = addr.sub(SHADOW_WORD as u64);
-        // An epoch-deferred protection makes the hidden word of an
-        // already-freed object readable again; flushing first restores the
-        // §3.2 guarantee that the read below traps on a double free.
-        if runs_overlap(&self.pending_protect, hidden.page(), 1) {
-            self.flush_protects(machine).map_err(PoolError::from)?;
-        }
-        let canon_page = match machine.load_u64(hidden) {
-            Ok(w) => w,
-            Err(trap) => {
-                self.last_report = self.registry.explain(&trap, true);
-                return Err(trap.into());
-            }
-        };
-        if canon_page & PAGE_MASK != 0 || canon_page == 0 {
-            return Err(AllocError::InvalidFree { addr }.into());
-        }
-        let canon_hidden = VirtAddr(canon_page + hidden.offset() as u64);
-        let total = self.pools.size_of(machine, canon_hidden)?;
-        let span = hidden.span_pages(total);
-        if self.batch.enabled {
-            merge_run(&mut self.pending_protect, hidden.page(), span);
-            self.pending_frees += 1;
-            if self.pending_frees >= self.batch.protect_epoch.unwrap_or(1) {
-                self.flush_protects(machine).map_err(PoolError::from)?;
-            }
-        } else {
-            machine.mprotect(hidden.page().base(), span, Protection::None)?;
-        }
-        machine.telemetry_mut().counter_add("core.pages_protected", span as u64);
-        self.pools.free(machine, pool, canon_hidden)?;
-        let stack = machine.telemetry().call_stack().to_vec();
-        self.registry.mark_freed_traced(addr, site, &stack);
-        self.freed
-            .entry(pool)
-            .or_default()
-            .push(FreedSpan { base: hidden.page(), span });
-        self.live.entry(pool).or_default().remove(&addr);
-        self.stats.note_free(total - SHADOW_WORD);
         Ok(())
     }
 
@@ -516,41 +228,6 @@ impl ShadowPool {
         self.free_at(machine, pool, addr, SiteId::UNKNOWN)
     }
 
-    /// `poolalloc` **without** shadow protection, for a site dangle-lint
-    /// proved `ProvablySafe`: the object lives directly on the pool's
-    /// canonical pages — no shadow remap, no hidden word, no registry entry.
-    /// Must be paired with [`ShadowPool::free_unchecked`]; the lint pass
-    /// stamps whole alias classes, so checked and unchecked pointers never
-    /// reach the same site.
-    ///
-    /// # Errors
-    /// As for [`PoolSet::alloc`].
-    pub fn alloc_unchecked(
-        &mut self,
-        machine: &mut Machine,
-        pool: PoolId,
-        size: usize,
-    ) -> Result<VirtAddr, PoolError> {
-        machine.telemetry_mut().counter_add("shadow.elided", 1);
-        self.pools.alloc(machine, pool, size)
-    }
-
-    /// `poolfree` for an allocation made by
-    /// [`ShadowPool::alloc_unchecked`]: straight back to the pool, with no
-    /// `mprotect` and no freed-span bookkeeping.
-    ///
-    /// # Errors
-    /// As for [`PoolSet::free`].
-    pub fn free_unchecked(
-        &mut self,
-        machine: &mut Machine,
-        pool: PoolId,
-        addr: VirtAddr,
-    ) -> Result<(), PoolError> {
-        machine.telemetry_mut().counter_add("shadow.elided", 1);
-        self.pools.free(machine, pool, addr)
-    }
-
     /// `pooldestroy`: recycles every canonical and shadow page of the pool
     /// through the shared free list and drops its diagnostics (no pointer
     /// into the pool can fault any more — the APA contract).
@@ -565,87 +242,37 @@ impl ShadowPool {
     }
 
     fn destroy_inner(&mut self, machine: &mut Machine, pool: PoolId) -> Result<(), PoolError> {
-        if self.batch.enabled {
+        if self.engine.batch.enabled {
             // Deferred protections must land before the pages they cover
             // can be released and re-mapped to live storage.
-            self.flush_protects(machine).map_err(PoolError::from)?;
+            self.engine.flush_protects(machine)?;
             // Leftover extent pages were registered at build time, so the
             // release below already covers them.
-            self.extents.retain(|&(p, _), _| p != pool);
+            self.engine.forget_extents(pool);
         }
         let shadow = self.shadow_pages.remove(&pool).unwrap_or_default();
-        self.pools.destroy(machine, pool)?;
-        self.registry.forget_pages(&shadow);
+        self.engine.source.destroy(machine, pool)?;
+        self.engine.registry.forget_pages(&shadow);
         self.freed.remove(&pool);
         self.live.remove(&pool);
         Ok(())
     }
 
-    /// Attributes a program-level MMU trap to the freed object it hit.
-    pub fn explain(&self, trap: &Trap) -> Option<DanglingReport> {
-        self.registry.explain(trap, false)
-    }
-
-    /// [`ShadowPool::explain`], but producing the structured JSON-ready
-    /// [`TrapReport`] with the machine's trailing event-ring context.
-    pub fn trap_report(
-        &self,
-        machine: &Machine,
-        trap: &Trap,
-        use_site: &str,
-    ) -> Option<TrapReport> {
-        let report = self.explain(trap)?;
-        Some(report.to_telemetry(&self.sites, machine, use_site, TRAP_CONTEXT_EVENTS, &self.registry))
-    }
-
-    /// The object record owning `addr`, if tracked (live or freed). Used
-    /// by the combined spatial checker: each object sits alone on its
-    /// shadow pages, so an address on a tracked page that falls outside
-    /// the object's extent is an out-of-bounds access.
-    pub fn object_at(&self, addr: VirtAddr) -> Option<&crate::diag::ObjectRecord> {
-        self.registry.lookup(addr)
-    }
-
-    /// The most recent detector-internal report (double free).
-    pub fn last_report(&self) -> Option<&DanglingReport> {
-        self.last_report.as_ref()
-    }
-
-    /// The site table, for interning allocation/free site labels.
-    pub fn sites_mut(&mut self) -> &mut SiteTable {
-        &mut self.sites
-    }
-
-    /// The site table.
-    pub fn sites(&self) -> &SiteTable {
-        &self.sites
-    }
-
     /// The underlying pool runtime (read-only).
     pub fn pools(&self) -> &PoolSet {
-        &self.pools
+        &self.engine.source
     }
 
-    /// Takes up to `max` contiguous recycled pages off this detector's
-    /// shared free list without mapping them, so a sharded composition
-    /// (see [`crate::sharded`]) can retire the surplus into a cross-shard
-    /// epoch free list. `None` when the list is empty or reuse is off.
-    pub fn export_free_run(&mut self, max: usize) -> Option<(PageNum, usize)> {
-        self.pools.take_free_run_capped(max)
-    }
-
-    /// Adds a run of recycled pages — exported from another shard and held
-    /// until an epoch grace period passed — to this detector's free list.
-    /// The pages must have been handed out by the same [`Machine`] so a
-    /// later `mmap_fixed` recycling them is legal.
-    pub fn adopt_free_run(&mut self, base: PageNum, pages: usize) {
-        self.pools.donate_run(base, pages as u32);
+    /// The underlying pool runtime, for the sharded composition to move
+    /// recycled runs between shards' free lists.
+    pub(crate) fn pools_mut(&mut self) -> &mut PoolSet {
+        &mut self.engine.source
     }
 
     /// Records a dynamic pool points-to edge (see
     /// [`PoolSet::note_pool_edge`]).
     pub fn note_pool_edge(&mut self, from: PoolId, to: PoolId) {
-        self.pools.note_pool_edge(from, to);
+        self.engine.source.note_pool_edge(from, to);
     }
 
     /// Live objects of `pool` (user address and size), for the GC scan.
@@ -669,28 +296,78 @@ impl ShadowPool {
         // A span whose protection is still pending (epoch mode) is not
         // reclaimable yet: donating it could re-map the pages to live
         // storage before the deferred mprotect lands.
-        if runs_overlap(&self.pending_protect, span.base, span.span) {
+        if runs_overlap(&self.engine.pending_protect, span.base, span.span) {
             return 0;
         }
         let Some(list) = self.freed.get_mut(&pool) else { return 0 };
         let Some(pos) = list.iter().position(|&s| s == span) else { return 0 };
         list.remove(pos);
         let end = span.base.add(span.span as u64);
-        self.registry.forget_range(span.base, span.span);
+        self.engine.registry.forget_range(span.base, span.span);
         if let Some(sp) = self.shadow_pages.get_mut(&pool) {
             sp.retain(|&p| p < span.base || p >= end);
         }
+        let pools = &mut self.engine.source;
         for i in 0..span.span as u64 {
             let pg = span.base.add(i);
-            let _ = self.pools.take_extra_page(pool, pg);
-            self.pools.donate_page(pg);
+            let _ = pools.take_extra_page(pool, pg);
+            pools.donate_page(pg);
         }
         span.span
     }
 
     /// Aggregate allocation counters (user sizes).
     pub fn stats(&self) -> AllocStats {
-        self.stats
+        self.engine.stats
+    }
+}
+
+impl crate::Detector for ShadowPool {
+    const NAME: &'static str = "shadow-pool";
+    const POOLED: bool = true;
+
+    fn create(&mut self, _machine: &Machine, elem_hint: usize) -> PoolId {
+        ShadowPool::create(self, elem_hint)
+    }
+
+    fn destroy(&mut self, machine: &mut Machine, pool: PoolId) -> Result<(), PoolError> {
+        ShadowPool::destroy(self, machine, pool)
+    }
+
+    fn alloc(
+        &mut self,
+        machine: &mut Machine,
+        pool: PoolId,
+        size: usize,
+        checked: bool,
+    ) -> Result<VirtAddr, PoolError> {
+        if checked {
+            self.alloc_at(machine, pool, size, SiteId::UNKNOWN)
+        } else {
+            self.engine.alloc_unchecked(machine, pool, size)
+        }
+    }
+
+    fn free(
+        &mut self,
+        machine: &mut Machine,
+        pool: PoolId,
+        addr: VirtAddr,
+        checked: bool,
+    ) -> Result<(), PoolError> {
+        if checked {
+            self.free_at(machine, pool, addr, SiteId::UNKNOWN)
+        } else {
+            self.engine.free_unchecked(machine, pool, addr)
+        }
+    }
+
+    fn explain_rendered(&self, trap: &Trap) -> Option<String> {
+        self.explain(trap).map(|r| r.render(self.sites()))
+    }
+
+    fn render_last_report(&self) -> Option<String> {
+        self.last_report().map(|r| r.render(self.sites()))
     }
 }
 
@@ -698,6 +375,7 @@ impl ShadowPool {
 mod tests {
     use super::*;
     use crate::diag::DanglingKind;
+    use dangle_heap::AllocError;
 
     fn setup() -> (Machine, ShadowPool) {
         (Machine::free_running(), ShadowPool::new())
@@ -838,9 +516,13 @@ mod tests {
         assert!(matches!(sp.alloc(&mut m, pp, 8), Err(PoolError::Destroyed(_))));
     }
 
-    fn batched() -> (Machine, ShadowPool) {
+    fn batched_config() -> ShadowPoolConfig {
         let batch = BatchConfig { enabled: true, ..BatchConfig::default() };
-        (Machine::free_running(), ShadowPool::with_batch(PoolConfig::default(), batch))
+        ShadowPoolConfig { batch, ..ShadowPoolConfig::default() }
+    }
+
+    fn batched() -> (Machine, ShadowPool) {
+        (Machine::free_running(), ShadowPool::with_config(batched_config()))
     }
 
     #[test]
@@ -873,8 +555,7 @@ mod tests {
         let mut legacy = ShadowPool::new();
         let p_legacy = legacy.create(16);
         let mut m_batch = Machine::new();
-        let mut batch =
-            ShadowPool::with_batch(PoolConfig::default(), BatchConfig { enabled: true, ..BatchConfig::default() });
+        let mut batch = ShadowPool::with_config(batched_config());
         let p_batch = batch.create(16);
         for _ in 0..n {
             let a = legacy.alloc(&mut m_legacy, p_legacy, 16).unwrap();
@@ -927,7 +608,7 @@ mod tests {
         let batch =
             BatchConfig { enabled: true, protect_epoch: Some(4), ..BatchConfig::default() };
         let mut m = Machine::free_running();
-        let mut sp = ShadowPool::with_batch(PoolConfig::default(), batch);
+        let mut sp = ShadowPool::with_config(ShadowPoolConfig { batch, ..Default::default() });
         let pp = sp.create(16);
         let ptrs: Vec<_> = (0..4).map(|_| sp.alloc(&mut m, pp, 16).unwrap()).collect();
         sp.free(&mut m, pp, ptrs[0]).unwrap();
@@ -957,7 +638,7 @@ mod tests {
     }
 
     fn sampled(cfg: crate::SamplingConfig) -> (Machine, ShadowPool) {
-        let sp = ShadowPool::with_sampling(PoolConfig::default(), BatchConfig::default(), cfg);
+        let sp = ShadowPool::with_config(ShadowPoolConfig { sampling: cfg, ..Default::default() });
         (Machine::free_running(), sp)
     }
 

@@ -15,11 +15,10 @@
 //!   consults the RNG, so `N = 1` is an *identity* with the unsampled
 //!   detector — same decisions, same RNG-free hot path, same trap reports —
 //!   and the `sampled` marker in trap reports stays `false` for it.
-//! - **Lint cooperation.** Sites the lint proved [`SiteSafety::ProvablySafe`]
-//!   are never sampled: the budget is spent exclusively where the analysis
-//!   could not rule out a dangling use. `Unknown` sites can carry a boost
-//!   weight so they win a larger share of the draw than `Definite*` sites
-//!   (which the lint will report anyway).
+//! - **Lint cooperation.** Sites the lint proved `ProvablySafe` never reach
+//!   the policy: their allocations take the backend's unchecked path, so
+//!   the budget is spent exclusively where the analysis could not rule out
+//!   a dangling use.
 //! - **Budgets are token buckets.** One bucket per size class and one per
 //!   allocation site (the MiniC proxy for an alias class); a protection
 //!   decision spends one token from each. Empty bucket → the allocation is
@@ -42,20 +41,6 @@ pub const COUNTER_SKIPPED: &str = "sampling.skipped";
 /// Telemetry counter: skips caused specifically by an empty token bucket.
 pub const COUNTER_BUDGET_EXHAUSTED: &str = "sampling.budget_exhausted";
 
-/// What the lint (or any other static analysis) knew about the allocation
-/// site at transform time.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SiteSafety {
-    /// The lint proved every use of this class happens before its free:
-    /// never spend budget here.
-    ProvablySafe,
-    /// The analysis could not decide — the interesting case, optionally
-    /// boosted.
-    Unknown,
-    /// The lint already flagged a definite UAF / double free at this site.
-    Definite,
-}
-
 /// Off-by-default configuration for [`SamplingPolicy`].
 ///
 /// The default (`enabled: false`) makes every decision `Protect` without
@@ -71,9 +56,6 @@ pub struct SamplingConfig {
     pub one_in: u64,
     /// Seed for the policy's [`SeededRng`]; runs reproduce exactly.
     pub seed: u64,
-    /// Draw weight for [`SiteSafety::Unknown`] sites: protect when
-    /// `rng.below(one_in) < boost` instead of `< 1`. Clamped to `one_in`.
-    pub unknown_boost: u64,
     /// Token cap per size class, or `None` for unlimited.
     pub class_tokens: Option<u32>,
     /// Token cap per allocation site (alias-class proxy), or `None` for
@@ -94,7 +76,6 @@ impl SamplingConfig {
             enabled: false,
             one_in: 1,
             seed: 0x5eed_1e55,
-            unknown_boost: 1,
             class_tokens: None,
             site_tokens: None,
             refill_window: 0,
@@ -113,12 +94,6 @@ impl SamplingConfig {
     /// Same policy with a different RNG seed.
     pub fn with_seed(mut self, seed: u64) -> SamplingConfig {
         self.seed = seed;
-        self
-    }
-
-    /// Same policy with a draw boost for [`SiteSafety::Unknown`] sites.
-    pub fn with_unknown_boost(mut self, boost: u64) -> SamplingConfig {
-        self.unknown_boost = boost.max(1);
         self
     }
 
@@ -199,25 +174,10 @@ impl SamplingPolicy {
         self.config.enabled
     }
 
-    pub fn config(&self) -> SamplingConfig {
-        self.config
-    }
-
-    /// Decide the fate of one allocation at `site` with the given lint
-    /// verdict and size class.
-    pub fn decide(
-        &mut self,
-        site: SiteId,
-        safety: SiteSafety,
-        size_class: usize,
-    ) -> SampleDecision {
+    /// Decide the fate of one allocation at `site` in the given size class.
+    pub fn decide(&mut self, site: SiteId, size_class: usize) -> SampleDecision {
         if !self.config.enabled {
             return SampleDecision::Protect { sampled: false };
-        }
-        if safety == SiteSafety::ProvablySafe {
-            return SampleDecision::Skip {
-                budget_exhausted: false,
-            };
         }
         self.candidates += 1;
         let window = self.config.refill_window;
@@ -231,21 +191,13 @@ impl SamplingPolicy {
                 budget_exhausted: false,
             };
         }
-        let sampled = if self.config.one_in <= 1 {
-            false // deterministic full protection: no draw, no marker
-        } else {
-            let weight = match safety {
-                SiteSafety::Unknown => self.config.unknown_boost.max(1),
-                _ => 1,
-            }
-            .min(self.config.one_in);
-            if self.rng.below(self.config.one_in) >= weight {
-                return SampleDecision::Skip {
-                    budget_exhausted: false,
-                };
-            }
-            true
-        };
+        // N = 1 is deterministic full protection: no draw, no marker.
+        let sampled = self.config.one_in > 1;
+        if sampled && self.rng.below(self.config.one_in) != 0 {
+            return SampleDecision::Skip {
+                budget_exhausted: false,
+            };
+        }
         if !self.spend(size_class, site) {
             return SampleDecision::Skip {
                 budget_exhausted: true,
@@ -292,7 +244,7 @@ mod tests {
     fn decisions(cfg: SamplingConfig, n: usize) -> Vec<SampleDecision> {
         let mut p = SamplingPolicy::new(cfg);
         (0..n)
-            .map(|i| p.decide(SiteId(i as u32 % 7), SiteSafety::Unknown, i % 4))
+            .map(|i| p.decide(SiteId(i as u32 % 7), i % 4))
             .collect()
     }
 
@@ -301,7 +253,7 @@ mod tests {
         let mut p = SamplingPolicy::new(SamplingConfig::off());
         for i in 0..100 {
             assert_eq!(
-                p.decide(SiteId(i), SiteSafety::Unknown, 0),
+                p.decide(SiteId(i), 0),
                 SampleDecision::Protect { sampled: false }
             );
         }
@@ -359,56 +311,11 @@ mod tests {
     }
 
     #[test]
-    fn provably_safe_sites_are_never_sampled() {
-        let mut p = SamplingPolicy::new(SamplingConfig::one_in(1));
-        for i in 0..200 {
-            assert_eq!(
-                p.decide(SiteId(i), SiteSafety::ProvablySafe, 0),
-                SampleDecision::Skip {
-                    budget_exhausted: false
-                }
-            );
-        }
-    }
-
-    #[test]
-    fn unknown_boost_raises_the_hit_rate() {
-        let base = decisions(SamplingConfig::one_in(64).with_seed(7), 16_000)
-            .iter()
-            .filter(|d| matches!(d, SampleDecision::Protect { .. }))
-            .count();
-        let boosted = decisions(
-            SamplingConfig::one_in(64).with_seed(7).with_unknown_boost(16),
-            16_000,
-        )
-        .iter()
-        .filter(|d| matches!(d, SampleDecision::Protect { .. }))
-        .count();
-        assert!(boosted > base * 4, "base = {base}, boosted = {boosted}");
-    }
-
-    #[test]
-    fn definite_sites_do_not_receive_the_unknown_boost() {
-        let cfg = SamplingConfig::one_in(64).with_seed(7).with_unknown_boost(64);
-        let mut p = SamplingPolicy::new(cfg);
-        let hits = (0..4000)
-            .filter(|_| {
-                matches!(
-                    p.decide(SiteId(1), SiteSafety::Definite, 0),
-                    SampleDecision::Protect { .. }
-                )
-            })
-            .count();
-        // Weight 1 out of 64, not 64 out of 64.
-        assert!(hits < 400, "hits = {hits}");
-    }
-
-    #[test]
     fn budgets_exhaust_then_refill() {
         let cfg = SamplingConfig::one_in(1).with_budgets(2, 2, 6);
         let mut p = SamplingPolicy::new(cfg);
         let d: Vec<_> = (0..6)
-            .map(|_| p.decide(SiteId(1), SiteSafety::Unknown, 0))
+            .map(|_| p.decide(SiteId(1), 0))
             .collect();
         assert_eq!(d[0], SampleDecision::Protect { sampled: false });
         assert_eq!(d[1], SampleDecision::Protect { sampled: false });
@@ -434,19 +341,19 @@ mod tests {
         let cfg = SamplingConfig::one_in(1).with_budgets(8, 1, 0);
         let mut p = SamplingPolicy::new(cfg);
         assert_eq!(
-            p.decide(SiteId(1), SiteSafety::Unknown, 0),
+            p.decide(SiteId(1), 0),
             SampleDecision::Protect { sampled: false }
         );
         // Same site: site bucket empty even though the class has tokens.
         assert_eq!(
-            p.decide(SiteId(1), SiteSafety::Unknown, 1),
+            p.decide(SiteId(1), 1),
             SampleDecision::Skip {
                 budget_exhausted: true
             }
         );
         // Fresh site in a fresh class still goes through.
         assert_eq!(
-            p.decide(SiteId(2), SiteSafety::Unknown, 2),
+            p.decide(SiteId(2), 2),
             SampleDecision::Protect { sampled: false }
         );
     }
@@ -456,20 +363,20 @@ mod tests {
         let cfg = SamplingConfig::one_in(1).with_budgets(2, 1, 0);
         let mut p = SamplingPolicy::new(cfg);
         assert!(matches!(
-            p.decide(SiteId(1), SiteSafety::Unknown, 0),
+            p.decide(SiteId(1), 0),
             SampleDecision::Protect { .. }
         ));
         // Site 1 is dry; the failed spends must not charge class 0.
         for _ in 0..5 {
             assert!(matches!(
-                p.decide(SiteId(1), SiteSafety::Unknown, 0),
+                p.decide(SiteId(1), 0),
                 SampleDecision::Skip {
                     budget_exhausted: true
                 }
             ));
         }
         assert!(matches!(
-            p.decide(SiteId(2), SiteSafety::Unknown, 0),
+            p.decide(SiteId(2), 0),
             SampleDecision::Protect { .. }
         ));
     }

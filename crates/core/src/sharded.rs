@@ -27,12 +27,10 @@
 //! [`ShadowPool`]: handles coincide with shard-local pool ids, the epoch
 //! machinery is never engaged, and every call is a direct delegation.
 
-use crate::diag::{DanglingReport, SiteId, SiteTable};
-use crate::pool_shadow::ShadowPool;
-use crate::sampling::SamplingConfig;
-use crate::shadow::BatchConfig;
-use dangle_heap::AllocStats;
-use dangle_pool::{PoolConfig, PoolError, PoolId};
+use crate::diag::DanglingReport;
+use crate::pool_shadow::{ShadowPool, ShadowPoolConfig};
+use crate::Detector;
+use dangle_pool::{PoolError, PoolId};
 use dangle_telemetry::TrapReport;
 use dangle_vmm::{Machine, PageNum, Trap, VirtAddr};
 use std::collections::VecDeque;
@@ -138,8 +136,10 @@ const SHARD_FREE_WATERMARK: usize = 32;
 
 /// The sharded pool-based detector. See the [module docs](self).
 ///
+/// Pools are created, used and destroyed through its [`Detector`] impl.
+///
 /// ```rust
-/// use dangle_core::ShardedShadowPool;
+/// use dangle_core::{Detector, ShardedShadowPool};
 /// use dangle_vmm::{Machine, MachineConfig};
 ///
 /// # fn main() -> Result<(), dangle_pool::PoolError> {
@@ -147,8 +147,8 @@ const SHARD_FREE_WATERMARK: usize = 32;
 /// let mut sp = ShardedShadowPool::new(2);
 /// m.switch_core(1);
 /// let pool = sp.create(&m, 16); // owned by shard 1 % 2
-/// let obj = sp.alloc(&mut m, pool, 16)?;
-/// sp.free(&mut m, pool, obj)?;
+/// let obj = sp.alloc(&mut m, pool, 16, true)?;
+/// sp.free(&mut m, pool, obj, true)?;
 /// assert!(m.load_u64(obj).is_err(), "dangling use trapped");
 /// assert!(sp.explain(&m.load_u64(obj).unwrap_err()).is_some());
 /// # Ok(())
@@ -163,59 +163,37 @@ pub struct ShardedShadowPool {
     handles: Vec<(usize, PoolId)>,
     epoch: EpochFreeList,
     /// Shard that served the most recent routed operation, so
-    /// [`ShardedShadowPool::last_report`] reads the right registry.
+    /// [`Detector::render_last_report`] reads the right registry.
     last_shard: usize,
 }
 
 impl ShardedShadowPool {
     /// A sharded detector with `shards` shards and default configuration.
     pub fn new(shards: usize) -> ShardedShadowPool {
-        ShardedShadowPool::with_batch(shards, PoolConfig::default(), BatchConfig::default())
+        ShardedShadowPool::with_config(shards, ShadowPoolConfig::default())
     }
 
-    /// A sharded detector with an explicit pool configuration.
-    pub fn with_config(shards: usize, config: PoolConfig) -> ShardedShadowPool {
-        ShardedShadowPool::with_batch(shards, config, BatchConfig::default())
-    }
-
-    /// A sharded detector with explicit pool and batching configurations
-    /// (every shard gets the same ones).
-    pub fn with_batch(shards: usize, config: PoolConfig, batch: BatchConfig) -> ShardedShadowPool {
-        assert!(shards >= 1, "a sharded detector needs at least one shard");
-        ShardedShadowPool {
-            shards: (0..shards).map(|_| ShadowPool::with_batch(config, batch)).collect(),
-            handles: Vec::new(),
-            epoch: EpochFreeList::new(shards),
-            last_shard: 0,
-        }
-    }
-
-    /// A sharded detector with sampled protection: every shard runs its own
-    /// [`crate::SamplingPolicy`] — per-shard RNG and budgets, so the hot
-    /// paths stay contention-free. Shard `i` draws from
-    /// [`SamplingConfig::for_shard`]`(i)`; shard 0 keeps the base seed, which
-    /// is what makes a 1-shard sampled detector byte-identical to a plain
-    /// [`ShadowPool::with_sampling`].
-    pub fn with_sampling(
-        shards: usize,
-        config: PoolConfig,
-        batch: BatchConfig,
-        sampling: SamplingConfig,
-    ) -> ShardedShadowPool {
+    /// A sharded detector whose every shard runs `config`. With sampled
+    /// protection each shard runs its own [`crate::SamplingPolicy`] —
+    /// per-shard RNG and budgets, so the hot paths stay contention-free.
+    /// Shard `i` draws from [`SamplingConfig::for_shard`]`(i)`; shard 0
+    /// keeps the base seed, which is what makes a 1-shard sampled detector
+    /// byte-identical to a plain [`ShadowPool`].
+    ///
+    /// [`SamplingConfig::for_shard`]: crate::SamplingConfig::for_shard
+    pub fn with_config(shards: usize, config: ShadowPoolConfig) -> ShardedShadowPool {
         assert!(shards >= 1, "a sharded detector needs at least one shard");
         ShardedShadowPool {
             shards: (0..shards)
-                .map(|i| ShadowPool::with_sampling(config, batch, sampling.for_shard(i)))
+                .map(|i| {
+                    let sampling = config.sampling.for_shard(i);
+                    ShadowPool::with_config(ShadowPoolConfig { sampling, ..config })
+                })
                 .collect(),
             handles: Vec::new(),
             epoch: EpochFreeList::new(shards),
             last_shard: 0,
         }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// One shard's detector (read-only, for stats and tests).
@@ -228,171 +206,19 @@ impl ShardedShadowPool {
         &self.epoch
     }
 
-    fn route(&self, handle: PoolId) -> Result<(usize, PoolId), PoolError> {
-        self.handles.get(handle.0 as usize).copied().ok_or(PoolError::Unknown(handle))
-    }
-
-    /// `poolinit`, routed to the shard of the calling core
-    /// (`active_core() % shards`). The returned id is a *global* handle,
-    /// valid from any core. A pool-creation boundary is a quiescent point
-    /// for the calling core: no allocation is in flight, so the epoch is
-    /// announced and any runs past their grace period are adopted into the
-    /// shard's free list (multi-shard only).
-    pub fn create(&mut self, machine: &Machine, elem_hint: usize) -> PoolId {
-        let shard = machine.active_core() % self.shards.len();
-        if self.shards.len() > 1 {
-            self.epoch.quiesce(machine.active_core());
-            while self.shards[shard].pools().free_page_count() < SHARD_FREE_WATERMARK {
-                match self.epoch.take_safe(SHARD_FREE_WATERMARK) {
-                    Some((base, pages)) => self.shards[shard].adopt_free_run(base, pages),
-                    None => break,
-                }
-            }
-        }
-        let local = self.shards[shard].create(elem_hint);
-        self.handles.push((shard, local));
+    /// The shard owning `handle` and the pool's shard-local id; the shard
+    /// also becomes the one [`Detector::render_last_report`] reads.
+    fn route(&mut self, handle: PoolId) -> Result<(&mut ShadowPool, PoolId), PoolError> {
+        let (shard, local) =
+            self.handles.get(handle.0 as usize).copied().ok_or(PoolError::Unknown(handle))?;
         self.last_shard = shard;
-        PoolId(self.handles.len() as u32 - 1)
-    }
-
-    /// `poolalloc` + shadow remap on the owning shard, tagged with a site.
-    ///
-    /// # Errors
-    /// As for [`ShadowPool::alloc_at`].
-    pub fn alloc_at(
-        &mut self,
-        machine: &mut Machine,
-        pool: PoolId,
-        size: usize,
-        site: SiteId,
-    ) -> Result<VirtAddr, PoolError> {
-        let (shard, local) = self.route(pool)?;
-        self.last_shard = shard;
-        self.shards[shard].alloc_at(machine, local, size, site)
-    }
-
-    /// [`ShardedShadowPool::alloc_at`] with an unknown site.
-    ///
-    /// # Errors
-    /// As for [`ShadowPool::alloc`].
-    pub fn alloc(
-        &mut self,
-        machine: &mut Machine,
-        pool: PoolId,
-        size: usize,
-    ) -> Result<VirtAddr, PoolError> {
-        self.alloc_at(machine, pool, size, SiteId::UNKNOWN)
-    }
-
-    /// `poolfree` + shadow protect on the owning shard.
-    ///
-    /// # Errors
-    /// As for [`ShadowPool::free_at`].
-    pub fn free_at(
-        &mut self,
-        machine: &mut Machine,
-        pool: PoolId,
-        addr: VirtAddr,
-        site: SiteId,
-    ) -> Result<(), PoolError> {
-        let (shard, local) = self.route(pool)?;
-        self.last_shard = shard;
-        self.shards[shard].free_at(machine, local, addr, site)
-    }
-
-    /// [`ShardedShadowPool::free_at`] with an unknown site.
-    ///
-    /// # Errors
-    /// As for [`ShadowPool::free`].
-    pub fn free(
-        &mut self,
-        machine: &mut Machine,
-        pool: PoolId,
-        addr: VirtAddr,
-    ) -> Result<(), PoolError> {
-        self.free_at(machine, pool, addr, SiteId::UNKNOWN)
-    }
-
-    /// Unchecked `poolalloc` (lint-elided shadow), on the owning shard.
-    ///
-    /// # Errors
-    /// As for [`ShadowPool::alloc_unchecked`].
-    pub fn alloc_unchecked(
-        &mut self,
-        machine: &mut Machine,
-        pool: PoolId,
-        size: usize,
-    ) -> Result<VirtAddr, PoolError> {
-        let (shard, local) = self.route(pool)?;
-        self.last_shard = shard;
-        self.shards[shard].alloc_unchecked(machine, local, size)
-    }
-
-    /// Unchecked `poolfree`, on the owning shard.
-    ///
-    /// # Errors
-    /// As for [`ShadowPool::free_unchecked`].
-    pub fn free_unchecked(
-        &mut self,
-        machine: &mut Machine,
-        pool: PoolId,
-        addr: VirtAddr,
-    ) -> Result<(), PoolError> {
-        let (shard, local) = self.route(pool)?;
-        self.last_shard = shard;
-        self.shards[shard].free_unchecked(machine, local, addr)
-    }
-
-    /// `pooldestroy` on the owning shard, then (multi-shard only) a
-    /// quiescent point: the destroying core announces the epoch and the
-    /// shard's surplus free pages — everything above the watermark it keeps
-    /// for its own reuse — are retired into the epoch list for other shards
-    /// to adopt after the grace period.
-    ///
-    /// # Errors
-    /// As for [`ShadowPool::destroy`].
-    pub fn destroy(&mut self, machine: &mut Machine, pool: PoolId) -> Result<(), PoolError> {
-        let (shard, local) = self.route(pool)?;
-        self.last_shard = shard;
-        self.shards[shard].destroy(machine, local)?;
-        if self.shards.len() > 1 {
-            self.epoch.quiesce(machine.active_core());
-            loop {
-                let free = self.shards[shard].pools().free_page_count();
-                if free <= SHARD_FREE_WATERMARK {
-                    break;
-                }
-                match self.shards[shard].export_free_run(free - SHARD_FREE_WATERMARK) {
-                    Some((base, pages)) => self.epoch.retire(base, pages),
-                    None => break,
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Flushes deferred protection batches on every shard.
-    ///
-    /// # Errors
-    /// As for [`ShadowPool::flush_protects`].
-    pub fn flush_protects(&mut self, machine: &mut Machine) -> Result<(), Trap> {
-        for shard in &mut self.shards {
-            shard.flush_protects(machine)?;
-        }
-        Ok(())
+        Ok((&mut self.shards[shard], local))
     }
 
     /// Explains a trap by asking each shard's registry; page-range
     /// ownership guarantees at most one shard knows the faulting page.
     pub fn explain(&self, trap: &Trap) -> Option<DanglingReport> {
         self.shards.iter().find_map(|s| s.explain(trap))
-    }
-
-    /// Explains a trap and renders it with the owning shard's site table.
-    pub fn explain_rendered(&self, trap: &Trap) -> Option<String> {
-        self.shards
-            .iter()
-            .find_map(|s| s.explain(trap).map(|r| r.render(s.sites())))
     }
 
     /// Full trap forensics from the owning shard (see
@@ -405,38 +231,90 @@ impl ShardedShadowPool {
     ) -> Option<TrapReport> {
         self.shards.iter().find_map(|s| s.trap_report(machine, trap, use_site))
     }
+}
 
-    /// The most recent report on the shard that served the last routed
-    /// operation (mirrors [`ShadowPool::last_report`] for the backend's
-    /// free-error path).
-    pub fn last_report(&self) -> Option<&DanglingReport> {
-        self.shards[self.last_shard].last_report()
-    }
+impl Detector for ShardedShadowPool {
+    const NAME: &'static str = "sharded-pool";
+    const POOLED: bool = true;
 
-    /// [`ShardedShadowPool::last_report`] rendered with the owning shard's
-    /// site table.
-    pub fn render_last_report(&self) -> Option<String> {
-        let shard = &self.shards[self.last_shard];
-        shard.last_report().map(|r| r.render(shard.sites()))
-    }
-
-    /// The site table of the shard that served the last routed operation.
-    pub fn sites(&self) -> &SiteTable {
-        self.shards[self.last_shard].sites()
-    }
-
-    /// Allocation counters summed over every shard.
-    pub fn stats(&self) -> AllocStats {
-        let mut total = AllocStats::default();
-        for s in &self.shards {
-            let st = s.stats();
-            total.allocs += st.allocs;
-            total.frees += st.frees;
-            total.live_objects += st.live_objects;
-            total.live_bytes += st.live_bytes;
-            total.peak_live_bytes += st.peak_live_bytes;
+    /// `poolinit`, routed to the shard of the calling core
+    /// (`active_core() % shards`). The returned id is a *global* handle,
+    /// valid from any core. A pool-creation boundary is a quiescent point
+    /// for the calling core: no allocation is in flight, so the epoch is
+    /// announced and any runs past their grace period are adopted into the
+    /// shard's free list (multi-shard only).
+    fn create(&mut self, machine: &Machine, elem_hint: usize) -> PoolId {
+        let shard = machine.active_core() % self.shards.len();
+        if self.shards.len() > 1 {
+            self.epoch.quiesce(machine.active_core());
+            let pools = self.shards[shard].pools_mut();
+            while pools.free_page_count() < SHARD_FREE_WATERMARK {
+                match self.epoch.take_safe(SHARD_FREE_WATERMARK) {
+                    Some((base, pages)) => pools.donate_run(base, pages as u32),
+                    None => break,
+                }
+            }
         }
-        total
+        let local = self.shards[shard].create(elem_hint);
+        self.handles.push((shard, local));
+        self.last_shard = shard;
+        PoolId(self.handles.len() as u32 - 1)
+    }
+
+    /// `pooldestroy` on the owning shard, then (multi-shard only) a
+    /// quiescent point: the destroying core announces the epoch and the
+    /// shard's surplus free pages — everything above the watermark it keeps
+    /// for its own reuse — are retired into the epoch list for other shards
+    /// to adopt after the grace period.
+    fn destroy(&mut self, machine: &mut Machine, pool: PoolId) -> Result<(), PoolError> {
+        let multi = self.shards.len() > 1;
+        let (shard, local) = self.route(pool)?;
+        shard.destroy(machine, local)?;
+        if multi {
+            self.epoch.quiesce(machine.active_core());
+            let pools = self.shards[self.last_shard].pools_mut();
+            loop {
+                let free = pools.free_page_count();
+                if free <= SHARD_FREE_WATERMARK {
+                    break;
+                }
+                match pools.take_free_run_capped(free - SHARD_FREE_WATERMARK) {
+                    Some((base, pages)) => self.epoch.retire(base, pages),
+                    None => break,
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn alloc(
+        &mut self,
+        machine: &mut Machine,
+        pool: PoolId,
+        size: usize,
+        checked: bool,
+    ) -> Result<VirtAddr, PoolError> {
+        let (shard, local) = self.route(pool)?;
+        Detector::alloc(shard, machine, local, size, checked)
+    }
+
+    fn free(
+        &mut self,
+        machine: &mut Machine,
+        pool: PoolId,
+        addr: VirtAddr,
+        checked: bool,
+    ) -> Result<(), PoolError> {
+        let (shard, local) = self.route(pool)?;
+        Detector::free(shard, machine, local, addr, checked)
+    }
+
+    fn explain_rendered(&self, trap: &Trap) -> Option<String> {
+        self.shards.iter().find_map(|s| s.explain_rendered(trap))
+    }
+
+    fn render_last_report(&self) -> Option<String> {
+        self.shards[self.last_shard].render_last_report()
     }
 }
 
@@ -461,8 +339,8 @@ mod tests {
             assert_eq!(sp.create(&m, 8), PoolId(i));
         }
         let p = PoolId(3);
-        let a = sp.alloc(&mut m, p, 16).unwrap();
-        sp.free(&mut m, p, a).unwrap();
+        let a = sp.alloc(&mut m, p, 16, true).unwrap();
+        sp.free(&mut m, p, a, true).unwrap();
         let trap = m.load_u64(a).unwrap_err();
         assert!(sp.explain(&trap).is_some(), "dangling use explained");
         assert_eq!(sp.epoch_list().pending_pages(), 0, "epoch list never engaged");
@@ -481,9 +359,9 @@ mod tests {
         // routing follows the pool's owner, not the current core.
         m.switch_core(0);
         for (core, &h) in handles.iter().enumerate() {
-            let a = sp.alloc(&mut m, h, 16).unwrap();
+            let a = sp.alloc(&mut m, h, 16, true).unwrap();
             assert_eq!(sp.shard(core).stats().allocs, 1, "alloc landed on owner shard");
-            sp.free(&mut m, h, a).unwrap();
+            sp.free(&mut m, h, a, true).unwrap();
             let trap = m.load_u64(a).unwrap_err();
             assert!(sp.explain(&trap).is_some());
         }
@@ -498,9 +376,9 @@ mod tests {
         m.switch_core(0);
         let big = sp.create(&m, 64);
         let objs: Vec<_> =
-            (0..3 * SHARD_FREE_WATERMARK).map(|_| sp.alloc(&mut m, big, 64).unwrap()).collect();
+            (0..3 * SHARD_FREE_WATERMARK).map(|_| sp.alloc(&mut m, big, 64, true).unwrap()).collect();
         for a in objs {
-            sp.free(&mut m, big, a).unwrap();
+            sp.free(&mut m, big, a, true).unwrap();
         }
         sp.destroy(&mut m, big).unwrap();
         let retired = sp.epoch_list().pending_pages();
@@ -574,7 +452,7 @@ mod tests {
     fn unknown_handle_is_rejected() {
         let mut m = machine(1);
         let mut sp = ShardedShadowPool::new(2);
-        let err = sp.alloc(&mut m, PoolId(9), 8).unwrap_err();
+        let err = sp.alloc(&mut m, PoolId(9), 8, true).unwrap_err();
         assert!(matches!(err, PoolError::Unknown(PoolId(9))));
     }
 }

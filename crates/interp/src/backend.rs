@@ -18,10 +18,15 @@
 //! | [`EFenceBackend`] | Electric Fence | §5.3 comparison |
 //! | [`MemcheckBackend`] | Valgrind-style | Table 2 |
 //! | [`CapabilityBackend`] | SafeC/Xu-style | §5.2 comparison |
+//!
+//! The three shadow-page rows are one generic [`DetectorBackend`] over the
+//! three detectors, and native, arena and Electric Fence are one generic
+//! [`AllocatorBackend`] over their allocators. Each detector backend has
+//! `new` plus one `with_config` taking the detector's own configuration.
 
 use dangle_baselines::{CapabilityChecker, CheckError, CheckedMemory, EFence, Memcheck};
 use dangle_core::{
-    BatchConfig, SamplingConfig, ShadowConfig, ShadowHeap, ShadowPool, ShardedShadowPool,
+    Detector, ShadowConfig, ShadowHeap, ShadowPool, ShadowPoolConfig, ShardedShadowPool,
 };
 use dangle_heap::{AllocError, Allocator, ArenaHeap, SysHeap};
 use dangle_pool::{PoolError, PoolId, PoolSet};
@@ -304,25 +309,44 @@ pub trait Backend {
     }
 }
 
-/// Bulk-op overrides for MMU-backed schemes: the machine's page-chunked
-/// bulk transfers replace the default per-word walk (page protection
-/// still traps dangling accesses — chunks never cross a page). `plain`
-/// maps traps bare; `explained` attaches the detector's attribution.
-macro_rules! mmu_bulk_ops {
-    (@map plain, $self:ident, $t:ident) => {
-        BackendError::Trap { trap: $t, report: None }
-    };
-    (@map explained, $self:ident, $t:ident) => {
-        BackendError::Trap { report: $self.explain(&$t), trap: $t }
-    };
-    ($kind:ident) => {
+/// A machine trap with `backend`'s attribution attached.
+fn explained<B: Backend + ?Sized>(backend: &B, trap: Trap) -> BackendError {
+    BackendError::Trap { report: backend.explain(&trap), trap }
+}
+
+/// Memory access for MMU-backed schemes: loads and stores go straight to
+/// the machine, and its page-chunked bulk transfers replace the default
+/// per-word walk (page protection still traps dangling accesses — chunks
+/// never cross a page). A trap carries [`Backend::explain`]'s
+/// attribution, which is `None` for schemes without a detector.
+macro_rules! mmu_memory_ops {
+    () => {
+        fn load(
+            &mut self,
+            machine: &mut Machine,
+            addr: VirtAddr,
+            width: usize,
+        ) -> Result<u64, BackendError> {
+            machine.load(addr, width).map_err(|t| explained(self, t))
+        }
+
+        fn store(
+            &mut self,
+            machine: &mut Machine,
+            addr: VirtAddr,
+            width: usize,
+            value: u64,
+        ) -> Result<(), BackendError> {
+            machine.store(addr, width, value).map_err(|t| explained(self, t))
+        }
+
         fn load_bytes(
             &mut self,
             machine: &mut Machine,
             addr: VirtAddr,
             buf: &mut [u8],
         ) -> Result<(), BackendError> {
-            machine.read_bytes(addr, buf).map_err(|t| mmu_bulk_ops!(@map $kind, self, t))
+            machine.read_bytes(addr, buf).map_err(|t| explained(self, t))
         }
 
         fn store_bytes(
@@ -331,7 +355,7 @@ macro_rules! mmu_bulk_ops {
             addr: VirtAddr,
             buf: &[u8],
         ) -> Result<(), BackendError> {
-            machine.write_bytes(addr, buf).map_err(|t| mmu_bulk_ops!(@map $kind, self, t))
+            machine.write_bytes(addr, buf).map_err(|t| explained(self, t))
         }
 
         fn memset(
@@ -341,38 +365,81 @@ macro_rules! mmu_bulk_ops {
             byte: u8,
             len: usize,
         ) -> Result<(), BackendError> {
-            machine.memset(addr, byte, len).map_err(|t| mmu_bulk_ops!(@map $kind, self, t))
+            machine.memset(addr, byte, len).map_err(|t| explained(self, t))
         }
     };
 }
 
 // ---------------------------------------------------------------------
-// Plain malloc.
+// Plain allocators: malloc, per-core arenas, Electric Fence.
 // ---------------------------------------------------------------------
 
-/// Plain `malloc`/`free` — the `native` and `LLVM base` configurations.
-/// Dangling uses are *not* detected: reads/writes of freed memory silently
-/// succeed (and may corrupt other objects), exactly like production C.
-#[derive(Debug, Default)]
-pub struct NativeBackend {
-    heap: SysHeap,
+/// Any [`Allocator`] with no detector of its own: loads and stores go
+/// straight to the MMU, and pools are ignored. Plain `malloc` is the
+/// `native` and `LLVM base` configuration — dangling uses are *not*
+/// detected: reads/writes of freed memory silently succeed (and may
+/// corrupt other objects), exactly like production C. Electric Fence
+/// detects them with one page per object.
+#[derive(Debug)]
+pub struct AllocatorBackend<A> {
+    heap: A,
+    name: &'static str,
 }
+
+/// Plain `malloc`/`free` — the `native` and `LLVM base` configurations.
+pub type NativeBackend = AllocatorBackend<SysHeap>;
+
+/// Plain `malloc` over per-core arenas ([`ArenaHeap`]): the undetected
+/// multi-core baseline the sharded detector's overhead is measured
+/// against. With one arena this is cycle-identical to [`NativeBackend`].
+pub type ArenaBackend = AllocatorBackend<ArenaHeap>;
+
+/// Electric Fence (object per page, MMU-checked; §5.3 baseline).
+pub type EFenceBackend = AllocatorBackend<EFence>;
 
 impl NativeBackend {
     /// Creates the backend.
     pub fn new() -> NativeBackend {
-        NativeBackend::default()
+        AllocatorBackend { heap: SysHeap::new(), name: "native" }
     }
+}
 
-    /// The underlying heap (for stats).
-    pub fn heap(&self) -> &SysHeap {
+impl Default for NativeBackend {
+    fn default() -> NativeBackend {
+        NativeBackend::new()
+    }
+}
+
+impl ArenaBackend {
+    /// Creates the backend with `arenas` per-core arenas.
+    pub fn new(arenas: usize) -> ArenaBackend {
+        AllocatorBackend { heap: ArenaHeap::new(arenas), name: "arena" }
+    }
+}
+
+impl EFenceBackend {
+    /// Creates the backend.
+    pub fn new() -> EFenceBackend {
+        AllocatorBackend { heap: EFence::default(), name: "efence" }
+    }
+}
+
+impl Default for EFenceBackend {
+    fn default() -> EFenceBackend {
+        EFenceBackend::new()
+    }
+}
+
+impl<A> AllocatorBackend<A> {
+    /// The underlying allocator (for stats).
+    pub fn heap(&self) -> &A {
         &self.heap
     }
 }
 
-impl Backend for NativeBackend {
+impl<A: Allocator> Backend for AllocatorBackend<A> {
     fn name(&self) -> &'static str {
-        "native"
+        self.name
     }
 
     fn alloc(
@@ -409,28 +476,7 @@ impl Backend for NativeBackend {
         Ok(())
     }
 
-    fn load(
-        &mut self,
-        machine: &mut Machine,
-        addr: VirtAddr,
-        width: usize,
-    ) -> Result<u64, BackendError> {
-        machine.load(addr, width).map_err(|t| BackendError::Trap { trap: t, report: None })
-    }
-
-    fn store(
-        &mut self,
-        machine: &mut Machine,
-        addr: VirtAddr,
-        width: usize,
-        value: u64,
-    ) -> Result<(), BackendError> {
-        machine
-            .store(addr, width, value)
-            .map_err(|t| BackendError::Trap { trap: t, report: None })
-    }
-
-    mmu_bulk_ops!(plain);
+    mmu_memory_ops!();
 }
 
 // ---------------------------------------------------------------------
@@ -464,19 +510,10 @@ impl PoolBackend {
         &self.pools
     }
 
-    fn handle_to_pool(h: PoolHandle) -> PoolId {
-        PoolId(h)
-    }
-
     fn pool_or_global(&mut self, pool: Option<PoolHandle>) -> PoolId {
         match pool {
-            Some(h) => Self::handle_to_pool(h),
-            None => {
-                if self.global_pool.is_none() {
-                    self.global_pool = Some(self.pools.create(0));
-                }
-                self.global_pool.expect("just created")
-            }
+            Some(h) => PoolId(h),
+            None => *self.global_pool.get_or_insert_with(|| self.pools.create(0)),
         }
     }
 }
@@ -530,410 +567,101 @@ impl Backend for PoolBackend {
         machine: &mut Machine,
         pool: PoolHandle,
     ) -> Result<(), BackendError> {
-        self.pools.destroy(machine, Self::handle_to_pool(pool)).map_err(from_pool)
+        self.pools.destroy(machine, PoolId(pool)).map_err(from_pool)
     }
 
-    fn load(
-        &mut self,
-        machine: &mut Machine,
-        addr: VirtAddr,
-        width: usize,
-    ) -> Result<u64, BackendError> {
-        machine.load(addr, width).map_err(|t| BackendError::Trap { trap: t, report: None })
-    }
-
-    fn store(
-        &mut self,
-        machine: &mut Machine,
-        addr: VirtAddr,
-        width: usize,
-        value: u64,
-    ) -> Result<(), BackendError> {
-        machine
-            .store(addr, width, value)
-            .map_err(|t| BackendError::Trap { trap: t, report: None })
-    }
-
-    mmu_bulk_ops!(plain);
+    mmu_memory_ops!();
 }
 
 // ---------------------------------------------------------------------
-// Shadow heap (Insight 1 only).
+// Shadow-page detectors (Insight 1 alone, the full approach, sharded).
 // ---------------------------------------------------------------------
 
-/// The shadow-page detector over plain `malloc` (no pools, no VA reuse) —
-/// the paper's "debugging, works on binaries" mode.
+/// A shadow-page detector behind the [`Backend`] interface: traps carry
+/// the detector's rendered diagnosis, and programs that were not
+/// pool-transformed (pool `None`) run in one lazily created global pool.
 #[derive(Debug, Default)]
-pub struct ShadowBackend {
-    heap: ShadowHeap<SysHeap>,
-}
-
-impl ShadowBackend {
-    /// Creates the backend.
-    pub fn new() -> ShadowBackend {
-        ShadowBackend::default()
-    }
-
-    /// Creates the backend with vectored-syscall batching (shadow extents
-    /// and coalesced protects; see [`BatchConfig`]).
-    pub fn with_batching(batch: BatchConfig) -> ShadowBackend {
-        ShadowBackend {
-            heap: ShadowHeap::with_config(
-                SysHeap::new(),
-                ShadowConfig { batch, ..ShadowConfig::default() },
-            ),
-        }
-    }
-
-    /// Creates the backend with GWP-ASan-style sampled protection: 1-in-N
-    /// allocations get the full shadow alias, the rest take the unchecked
-    /// fast path (see [`SamplingConfig`]).
-    pub fn with_sampling(sampling: SamplingConfig) -> ShadowBackend {
-        ShadowBackend {
-            heap: ShadowHeap::with_config(
-                SysHeap::new(),
-                ShadowConfig { sampling, ..ShadowConfig::default() },
-            ),
-        }
-    }
-
-    /// The detector (for diagnostics and stats).
-    pub fn detector(&self) -> &ShadowHeap<SysHeap> {
-        &self.heap
-    }
-}
-
-impl Backend for ShadowBackend {
-    fn name(&self) -> &'static str {
-        "shadow"
-    }
-
-    fn alloc(
-        &mut self,
-        machine: &mut Machine,
-        size: usize,
-        _pool: Option<PoolHandle>,
-    ) -> Result<VirtAddr, BackendError> {
-        self.heap.alloc(machine, size).map_err(from_alloc)
-    }
-
-    fn free(
-        &mut self,
-        machine: &mut Machine,
-        addr: VirtAddr,
-        _pool: Option<PoolHandle>,
-    ) -> Result<(), BackendError> {
-        self.heap.free(machine, addr).map_err(|e| match e {
-            AllocError::Trap(trap) => BackendError::Trap {
-                trap,
-                report: self.heap.last_report().map(|r| r.render(self.heap.sites())),
-            },
-            other => from_alloc(other),
-        })
-    }
-
-    fn alloc_unchecked(
-        &mut self,
-        machine: &mut Machine,
-        size: usize,
-        _pool: Option<PoolHandle>,
-    ) -> Result<VirtAddr, BackendError> {
-        self.heap.alloc_unchecked(machine, size).map_err(from_alloc)
-    }
-
-    fn free_unchecked(
-        &mut self,
-        machine: &mut Machine,
-        addr: VirtAddr,
-        _pool: Option<PoolHandle>,
-    ) -> Result<(), BackendError> {
-        self.heap.free_unchecked(machine, addr).map_err(from_alloc)
-    }
-
-    fn pool_create(
-        &mut self,
-        _machine: &mut Machine,
-        _elem_hint: usize,
-    ) -> Result<PoolHandle, BackendError> {
-        Ok(0)
-    }
-
-    fn pool_destroy(
-        &mut self,
-        _machine: &mut Machine,
-        _pool: PoolHandle,
-    ) -> Result<(), BackendError> {
-        Ok(())
-    }
-
-    fn load(
-        &mut self,
-        machine: &mut Machine,
-        addr: VirtAddr,
-        width: usize,
-    ) -> Result<u64, BackendError> {
-        machine.load(addr, width).map_err(|t| BackendError::Trap {
-            report: self.explain(&t),
-            trap: t,
-        })
-    }
-
-    fn store(
-        &mut self,
-        machine: &mut Machine,
-        addr: VirtAddr,
-        width: usize,
-        value: u64,
-    ) -> Result<(), BackendError> {
-        machine.store(addr, width, value).map_err(|t| BackendError::Trap {
-            report: self.explain(&t),
-            trap: t,
-        })
-    }
-
-    mmu_bulk_ops!(explained);
-
-    fn explain(&self, trap: &Trap) -> Option<String> {
-        self.heap.explain(trap).map(|r| r.render(self.heap.sites()))
-    }
-}
-
-// ---------------------------------------------------------------------
-// Shadow pool (the full approach).
-// ---------------------------------------------------------------------
-
-/// The paper's production configuration: shadow pages within Automatic Pool
-/// Allocation pools, with full virtual-address recycling at `pooldestroy`.
-#[derive(Debug, Default)]
-pub struct ShadowPoolBackend {
-    detector: ShadowPool,
+pub struct DetectorBackend<D> {
+    detector: D,
     global_pool: Option<PoolId>,
 }
 
-impl ShadowPoolBackend {
-    /// Creates the backend.
-    pub fn new() -> ShadowPoolBackend {
-        ShadowPoolBackend::default()
-    }
+/// The shadow-page detector over plain `malloc` (no pools, no VA reuse) —
+/// the paper's "debugging, works on binaries" mode.
+pub type ShadowBackend = DetectorBackend<ShadowHeap<SysHeap>>;
 
-    /// Creates the backend with an explicit pool configuration (e.g. the
-    /// shared page free list disabled, for ablations).
-    pub fn with_pool_config(config: dangle_pool::PoolConfig) -> ShadowPoolBackend {
-        ShadowPoolBackend { detector: ShadowPool::with_config(config), global_pool: None }
-    }
-
-    /// Creates the backend with vectored-syscall batching (per-pool shadow
-    /// extents and coalesced protects; see [`BatchConfig`]).
-    pub fn with_batching(batch: BatchConfig) -> ShadowPoolBackend {
-        ShadowPoolBackend {
-            detector: ShadowPool::with_batch(dangle_pool::PoolConfig::default(), batch),
-            global_pool: None,
-        }
-    }
-
-    /// Creates the backend with GWP-ASan-style sampled protection: 1-in-N
-    /// allocations get the full shadow alias, the rest take the unchecked
-    /// fast path (see [`SamplingConfig`]).
-    pub fn with_sampling(sampling: SamplingConfig) -> ShadowPoolBackend {
-        ShadowPoolBackend {
-            detector: ShadowPool::with_sampling(
-                dangle_pool::PoolConfig::default(),
-                BatchConfig::default(),
-                sampling,
-            ),
-            global_pool: None,
-        }
-    }
-
-    /// The detector (for diagnostics and stats).
-    pub fn detector(&self) -> &ShadowPool {
-        &self.detector
-    }
-
-    fn pool_or_global(&mut self, pool: Option<PoolHandle>) -> PoolId {
-        match pool {
-            Some(h) => PoolId(h),
-            None => {
-                if self.global_pool.is_none() {
-                    self.global_pool = Some(self.detector.create(0));
-                }
-                self.global_pool.expect("just created")
-            }
-        }
-    }
-}
-
-impl Backend for ShadowPoolBackend {
-    fn name(&self) -> &'static str {
-        "shadow-pool"
-    }
-
-    fn alloc(
-        &mut self,
-        machine: &mut Machine,
-        size: usize,
-        pool: Option<PoolHandle>,
-    ) -> Result<VirtAddr, BackendError> {
-        let p = self.pool_or_global(pool);
-        self.detector.alloc(machine, p, size).map_err(from_pool)
-    }
-
-    fn free(
-        &mut self,
-        machine: &mut Machine,
-        addr: VirtAddr,
-        pool: Option<PoolHandle>,
-    ) -> Result<(), BackendError> {
-        let p = self.pool_or_global(pool);
-        self.detector.free(machine, p, addr).map_err(|e| match e {
-            PoolError::Alloc(AllocError::Trap(trap)) => BackendError::Trap {
-                trap,
-                report: self
-                    .detector
-                    .last_report()
-                    .map(|r| r.render(self.detector.sites())),
-            },
-            other => from_pool(other),
-        })
-    }
-
-    fn alloc_unchecked(
-        &mut self,
-        machine: &mut Machine,
-        size: usize,
-        pool: Option<PoolHandle>,
-    ) -> Result<VirtAddr, BackendError> {
-        let p = self.pool_or_global(pool);
-        self.detector.alloc_unchecked(machine, p, size).map_err(from_pool)
-    }
-
-    fn free_unchecked(
-        &mut self,
-        machine: &mut Machine,
-        addr: VirtAddr,
-        pool: Option<PoolHandle>,
-    ) -> Result<(), BackendError> {
-        let p = self.pool_or_global(pool);
-        self.detector.free_unchecked(machine, p, addr).map_err(from_pool)
-    }
-
-    fn pool_create(
-        &mut self,
-        machine: &mut Machine,
-        elem_hint: usize,
-    ) -> Result<PoolHandle, BackendError> {
-        machine.note_event(VirtAddr::NULL, EventKind::PoolCreate);
-        Ok(self.detector.create(elem_hint).0)
-    }
-
-    fn pool_destroy(
-        &mut self,
-        machine: &mut Machine,
-        pool: PoolHandle,
-    ) -> Result<(), BackendError> {
-        self.detector.destroy(machine, PoolId(pool)).map_err(from_pool)
-    }
-
-    fn load(
-        &mut self,
-        machine: &mut Machine,
-        addr: VirtAddr,
-        width: usize,
-    ) -> Result<u64, BackendError> {
-        machine.load(addr, width).map_err(|t| BackendError::Trap {
-            report: self.explain(&t),
-            trap: t,
-        })
-    }
-
-    fn store(
-        &mut self,
-        machine: &mut Machine,
-        addr: VirtAddr,
-        width: usize,
-        value: u64,
-    ) -> Result<(), BackendError> {
-        machine.store(addr, width, value).map_err(|t| BackendError::Trap {
-            report: self.explain(&t),
-            trap: t,
-        })
-    }
-
-    mmu_bulk_ops!(explained);
-
-    fn explain(&self, trap: &Trap) -> Option<String> {
-        self.detector.explain(trap).map(|r| r.render(self.detector.sites()))
-    }
-}
-
-// ---------------------------------------------------------------------
-// Sharded shadow pool (the full approach, one detector shard per core).
-// ---------------------------------------------------------------------
+/// The paper's production configuration: shadow pages within Automatic Pool
+/// Allocation pools, with full virtual-address recycling at `pooldestroy`.
+pub type ShadowPoolBackend = DetectorBackend<ShadowPool>;
 
 /// The paper's approach sharded across the machine's cores: pools are
 /// owned by the shard of the creating core, traps are explained by
 /// page-range ownership, and destroyed pages cross shards through an
 /// epoch-based free list (see [`dangle_core::sharded`]). With one shard
 /// on a one-core machine this is byte-identical to [`ShadowPoolBackend`].
-#[derive(Debug)]
-pub struct ShardedPoolBackend {
-    detector: ShardedShadowPool,
-    global_pool: Option<PoolId>,
+pub type ShardedPoolBackend = DetectorBackend<ShardedShadowPool>;
+
+impl ShadowBackend {
+    /// Creates the backend.
+    pub fn new() -> ShadowBackend {
+        ShadowBackend::with_config(ShadowConfig::default())
+    }
+
+    /// Creates the backend with an explicit detector configuration
+    /// (batching, sampling, §3.4 recycling).
+    pub fn with_config(config: ShadowConfig) -> ShadowBackend {
+        DetectorBackend::wrap(ShadowHeap::with_config(SysHeap::new(), config))
+    }
+}
+
+impl ShadowPoolBackend {
+    /// Creates the backend.
+    pub fn new() -> ShadowPoolBackend {
+        ShadowPoolBackend::with_config(ShadowPoolConfig::default())
+    }
+
+    /// Creates the backend with an explicit detector configuration (pool
+    /// runtime, batching, sampling).
+    pub fn with_config(config: ShadowPoolConfig) -> ShadowPoolBackend {
+        DetectorBackend::wrap(ShadowPool::with_config(config))
+    }
 }
 
 impl ShardedPoolBackend {
     /// Creates the backend with `shards` detector shards.
     pub fn new(shards: usize) -> ShardedPoolBackend {
-        ShardedPoolBackend { detector: ShardedShadowPool::new(shards), global_pool: None }
+        ShardedPoolBackend::with_config(shards, ShadowPoolConfig::default())
     }
 
-    /// Creates the backend with vectored-syscall batching in every shard.
-    pub fn with_batching(shards: usize, batch: BatchConfig) -> ShardedPoolBackend {
-        ShardedPoolBackend {
-            detector: ShardedShadowPool::with_batch(
-                shards,
-                dangle_pool::PoolConfig::default(),
-                batch,
-            ),
-            global_pool: None,
-        }
+    /// Creates the backend with `shards` detector shards, each running
+    /// `config` (each shard derives its own sampling seed via
+    /// [`dangle_core::SamplingConfig::for_shard`]).
+    pub fn with_config(shards: usize, config: ShadowPoolConfig) -> ShardedPoolBackend {
+        DetectorBackend::wrap(ShardedShadowPool::with_config(shards, config))
+    }
+}
+
+impl<D: Detector> DetectorBackend<D> {
+    fn wrap(detector: D) -> DetectorBackend<D> {
+        DetectorBackend { detector, global_pool: None }
     }
 
-    /// Creates the backend with sampled protection in every shard (each
-    /// shard derives its own seed via [`SamplingConfig::for_shard`]).
-    pub fn with_sampling(shards: usize, sampling: SamplingConfig) -> ShardedPoolBackend {
-        ShardedPoolBackend {
-            detector: ShardedShadowPool::with_sampling(
-                shards,
-                dangle_pool::PoolConfig::default(),
-                BatchConfig::default(),
-                sampling,
-            ),
-            global_pool: None,
-        }
-    }
-
-    /// The sharded detector (for diagnostics and stats).
-    pub fn detector(&self) -> &ShardedShadowPool {
+    /// The detector (for diagnostics and stats).
+    pub fn detector(&self) -> &D {
         &self.detector
     }
 
     fn pool_or_global(&mut self, machine: &Machine, pool: Option<PoolHandle>) -> PoolId {
         match pool {
             Some(h) => PoolId(h),
-            None => {
-                if self.global_pool.is_none() {
-                    self.global_pool = Some(self.detector.create(machine, 0));
-                }
-                self.global_pool.expect("just created")
-            }
+            None => *self.global_pool.get_or_insert_with(|| self.detector.create(machine, 0)),
         }
     }
 }
 
-impl Backend for ShardedPoolBackend {
+impl<D: Detector> Backend for DetectorBackend<D> {
     fn name(&self) -> &'static str {
-        "sharded-pool"
+        D::NAME
     }
 
     fn alloc(
@@ -943,7 +671,7 @@ impl Backend for ShardedPoolBackend {
         pool: Option<PoolHandle>,
     ) -> Result<VirtAddr, BackendError> {
         let p = self.pool_or_global(machine, pool);
-        self.detector.alloc(machine, p, size).map_err(from_pool)
+        self.detector.alloc(machine, p, size, true).map_err(from_pool)
     }
 
     fn free(
@@ -953,11 +681,10 @@ impl Backend for ShardedPoolBackend {
         pool: Option<PoolHandle>,
     ) -> Result<(), BackendError> {
         let p = self.pool_or_global(machine, pool);
-        self.detector.free(machine, p, addr).map_err(|e| match e {
-            PoolError::Alloc(AllocError::Trap(trap)) => BackendError::Trap {
-                trap,
-                report: self.detector.render_last_report(),
-            },
+        self.detector.free(machine, p, addr, true).map_err(|e| match e {
+            PoolError::Alloc(AllocError::Trap(trap)) => {
+                BackendError::Trap { trap, report: self.detector.render_last_report() }
+            }
             other => from_pool(other),
         })
     }
@@ -969,7 +696,7 @@ impl Backend for ShardedPoolBackend {
         pool: Option<PoolHandle>,
     ) -> Result<VirtAddr, BackendError> {
         let p = self.pool_or_global(machine, pool);
-        self.detector.alloc_unchecked(machine, p, size).map_err(from_pool)
+        self.detector.alloc(machine, p, size, false).map_err(from_pool)
     }
 
     fn free_unchecked(
@@ -979,7 +706,7 @@ impl Backend for ShardedPoolBackend {
         pool: Option<PoolHandle>,
     ) -> Result<(), BackendError> {
         let p = self.pool_or_global(machine, pool);
-        self.detector.free_unchecked(machine, p, addr).map_err(from_pool)
+        self.detector.free(machine, p, addr, false).map_err(from_pool)
     }
 
     fn pool_create(
@@ -987,7 +714,9 @@ impl Backend for ShardedPoolBackend {
         machine: &mut Machine,
         elem_hint: usize,
     ) -> Result<PoolHandle, BackendError> {
-        machine.note_event(VirtAddr::NULL, EventKind::PoolCreate);
+        if D::POOLED {
+            machine.note_event(VirtAddr::NULL, EventKind::PoolCreate);
+        }
         Ok(self.detector.create(machine, elem_hint).0)
     }
 
@@ -999,123 +728,11 @@ impl Backend for ShardedPoolBackend {
         self.detector.destroy(machine, PoolId(pool)).map_err(from_pool)
     }
 
-    fn load(
-        &mut self,
-        machine: &mut Machine,
-        addr: VirtAddr,
-        width: usize,
-    ) -> Result<u64, BackendError> {
-        machine.load(addr, width).map_err(|t| BackendError::Trap {
-            report: self.explain(&t),
-            trap: t,
-        })
-    }
-
-    fn store(
-        &mut self,
-        machine: &mut Machine,
-        addr: VirtAddr,
-        width: usize,
-        value: u64,
-    ) -> Result<(), BackendError> {
-        machine.store(addr, width, value).map_err(|t| BackendError::Trap {
-            report: self.explain(&t),
-            trap: t,
-        })
-    }
-
-    mmu_bulk_ops!(explained);
+    mmu_memory_ops!();
 
     fn explain(&self, trap: &Trap) -> Option<String> {
         self.detector.explain_rendered(trap)
     }
-}
-
-// ---------------------------------------------------------------------
-// Per-core native arenas (multi-core baseline).
-// ---------------------------------------------------------------------
-
-/// Plain `malloc` over per-core arenas ([`ArenaHeap`]): the undetected
-/// multi-core baseline the sharded detector's overhead is measured
-/// against. With one arena this is cycle-identical to [`NativeBackend`].
-#[derive(Debug)]
-pub struct ArenaBackend {
-    heap: ArenaHeap,
-}
-
-impl ArenaBackend {
-    /// Creates the backend with `arenas` per-core arenas.
-    pub fn new(arenas: usize) -> ArenaBackend {
-        ArenaBackend { heap: ArenaHeap::new(arenas) }
-    }
-
-    /// The underlying heap (for stats).
-    pub fn heap(&self) -> &ArenaHeap {
-        &self.heap
-    }
-}
-
-impl Backend for ArenaBackend {
-    fn name(&self) -> &'static str {
-        "arena"
-    }
-
-    fn alloc(
-        &mut self,
-        machine: &mut Machine,
-        size: usize,
-        _pool: Option<PoolHandle>,
-    ) -> Result<VirtAddr, BackendError> {
-        self.heap.alloc(machine, size).map_err(from_alloc)
-    }
-
-    fn free(
-        &mut self,
-        machine: &mut Machine,
-        addr: VirtAddr,
-        _pool: Option<PoolHandle>,
-    ) -> Result<(), BackendError> {
-        self.heap.free(machine, addr).map_err(from_alloc)
-    }
-
-    fn pool_create(
-        &mut self,
-        _machine: &mut Machine,
-        _elem_hint: usize,
-    ) -> Result<PoolHandle, BackendError> {
-        Ok(0)
-    }
-
-    fn pool_destroy(
-        &mut self,
-        _machine: &mut Machine,
-        _pool: PoolHandle,
-    ) -> Result<(), BackendError> {
-        Ok(())
-    }
-
-    fn load(
-        &mut self,
-        machine: &mut Machine,
-        addr: VirtAddr,
-        width: usize,
-    ) -> Result<u64, BackendError> {
-        machine.load(addr, width).map_err(|t| BackendError::Trap { trap: t, report: None })
-    }
-
-    fn store(
-        &mut self,
-        machine: &mut Machine,
-        addr: VirtAddr,
-        width: usize,
-        value: u64,
-    ) -> Result<(), BackendError> {
-        machine
-            .store(addr, width, value)
-            .map_err(|t| BackendError::Trap { trap: t, report: None })
-    }
-
-    mmu_bulk_ops!(plain);
 }
 
 // ---------------------------------------------------------------------
@@ -1238,87 +855,6 @@ checked_backend!(
     CapabilityChecker,
     "capability"
 );
-
-/// Electric Fence (object per page, MMU-checked; §5.3 baseline).
-#[derive(Debug, Default)]
-pub struct EFenceBackend {
-    inner: EFence,
-}
-
-impl EFenceBackend {
-    /// Creates the backend.
-    pub fn new() -> EFenceBackend {
-        EFenceBackend::default()
-    }
-
-    /// The wrapped allocator (for stats).
-    pub fn checker(&self) -> &EFence {
-        &self.inner
-    }
-}
-
-impl Backend for EFenceBackend {
-    fn name(&self) -> &'static str {
-        "efence"
-    }
-
-    fn alloc(
-        &mut self,
-        machine: &mut Machine,
-        size: usize,
-        _pool: Option<PoolHandle>,
-    ) -> Result<VirtAddr, BackendError> {
-        self.inner.alloc(machine, size).map_err(from_alloc)
-    }
-
-    fn free(
-        &mut self,
-        machine: &mut Machine,
-        addr: VirtAddr,
-        _pool: Option<PoolHandle>,
-    ) -> Result<(), BackendError> {
-        self.inner.free(machine, addr).map_err(from_alloc)
-    }
-
-    fn pool_create(
-        &mut self,
-        _machine: &mut Machine,
-        _elem_hint: usize,
-    ) -> Result<PoolHandle, BackendError> {
-        Ok(0)
-    }
-
-    fn pool_destroy(
-        &mut self,
-        _machine: &mut Machine,
-        _pool: PoolHandle,
-    ) -> Result<(), BackendError> {
-        Ok(())
-    }
-
-    fn load(
-        &mut self,
-        machine: &mut Machine,
-        addr: VirtAddr,
-        width: usize,
-    ) -> Result<u64, BackendError> {
-        machine.load(addr, width).map_err(|t| BackendError::Trap { trap: t, report: None })
-    }
-
-    fn store(
-        &mut self,
-        machine: &mut Machine,
-        addr: VirtAddr,
-        width: usize,
-        value: u64,
-    ) -> Result<(), BackendError> {
-        machine
-            .store(addr, width, value)
-            .map_err(|t| BackendError::Trap { trap: t, report: None })
-    }
-
-    mmu_bulk_ops!(plain);
-}
 
 // ---------------------------------------------------------------------
 // Combined spatial + temporal checking (the paper's §6 goal).
@@ -1447,6 +983,7 @@ impl Backend for CombinedBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dangle_core::{BatchConfig, SamplingConfig};
 
     fn exercise(backend: &mut dyn Backend, expect_detection: bool) {
         let mut m = Machine::free_running();
@@ -1490,36 +1027,67 @@ mod tests {
         backend.pool_destroy(&mut m, pool).unwrap();
     }
 
+    /// The three detector backends in their default, batched and sampled
+    /// (N = 1) forms, plus the sharded detector at one and two shards.
+    fn detector_backends() -> Vec<Box<dyn Backend>> {
+        let batch = BatchConfig { enabled: true, ..BatchConfig::default() };
+        let sampling = SamplingConfig::one_in(1);
+        let heaps = [
+            ShadowConfig { batch, ..Default::default() },
+            ShadowConfig { sampling, ..Default::default() },
+        ];
+        let pools = [
+            ShadowPoolConfig { batch, ..Default::default() },
+            ShadowPoolConfig { sampling, ..Default::default() },
+        ];
+        let mut all: Vec<Box<dyn Backend>> = vec![
+            Box::new(ShadowBackend::new()),
+            Box::new(ShadowPoolBackend::new()),
+            Box::new(ShardedPoolBackend::new(1)),
+            Box::new(ShardedPoolBackend::new(2)),
+        ];
+        for (heap, pool) in heaps.into_iter().zip(pools) {
+            all.push(Box::new(ShadowBackend::with_config(heap)));
+            all.push(Box::new(ShadowPoolBackend::with_config(pool)));
+            all.push(Box::new(ShardedPoolBackend::with_config(2, pool)));
+        }
+        all
+    }
+
     #[test]
     fn bulk_ops_preserve_scheme_semantics() {
         exercise_bulk(&mut NativeBackend::new(), false);
+        exercise_bulk(&mut ArenaBackend::new(2), false);
         exercise_bulk(&mut PoolBackend::new(), false);
-        exercise_bulk(&mut ShadowBackend::new(), true);
-        exercise_bulk(&mut ShadowPoolBackend::new(), true);
         exercise_bulk(&mut EFenceBackend::new(), true);
         exercise_bulk(&mut MemcheckBackend::new(), true);
         exercise_bulk(&mut CapabilityBackend::new(), true);
         exercise_bulk(&mut CombinedBackend::new(), true);
+        for mut b in detector_backends() {
+            exercise_bulk(b.as_mut(), true);
+        }
     }
 
     #[test]
     fn shadow_pool_bulk_trap_carries_report() {
-        let mut m = Machine::free_running();
-        let mut b = ShadowPoolBackend::new();
-        let p = b.alloc(&mut m, 16, None).unwrap();
-        b.free(&mut m, p, None).unwrap();
-        let mut buf = [0u8; 16];
-        let BackendError::Trap { report, .. } =
-            b.load_bytes(&mut m, p, &mut buf).unwrap_err()
-        else {
-            panic!()
-        };
-        assert!(report.expect("attributed").contains("dangling read"));
+        for mut b in detector_backends() {
+            let mut m = Machine::free_running();
+            let p = b.alloc(&mut m, 16, None).unwrap();
+            b.free(&mut m, p, None).unwrap();
+            let mut buf = [0u8; 16];
+            let BackendError::Trap { report, .. } =
+                b.load_bytes(&mut m, p, &mut buf).unwrap_err()
+            else {
+                panic!("{}", b.name())
+            };
+            assert!(report.expect("attributed").contains("dangling read"), "{}", b.name());
+        }
     }
 
     #[test]
     fn native_misses_dangling_use() {
         exercise(&mut NativeBackend::new(), false);
+        exercise(&mut ArenaBackend::new(2), false);
     }
 
     #[test]
@@ -1530,20 +1098,12 @@ mod tests {
 
     #[test]
     fn detecting_backends_detect() {
-        exercise(&mut ShadowBackend::new(), true);
-        exercise(&mut ShadowPoolBackend::new(), true);
         exercise(&mut EFenceBackend::new(), true);
         exercise(&mut MemcheckBackend::new(), true);
         exercise(&mut CapabilityBackend::new(), true);
-    }
-
-    #[test]
-    fn batched_backends_detect_like_legacy() {
-        let batch = dangle_core::BatchConfig { enabled: true, ..Default::default() };
-        exercise(&mut ShadowBackend::with_batching(batch), true);
-        exercise(&mut ShadowPoolBackend::with_batching(batch), true);
-        exercise_bulk(&mut ShadowBackend::with_batching(batch), true);
-        exercise_bulk(&mut ShadowPoolBackend::with_batching(batch), true);
+        for mut b in detector_backends() {
+            exercise(b.as_mut(), true);
+        }
     }
 
     #[test]

@@ -162,7 +162,7 @@ pub struct PoolSet {
     /// most recently released run and fragmented over time.
     free_runs: Vec<(PageNum, u32)>,
     config: PoolConfig,
-    /// Cached telemetry handles for the `acquire_run` hot path (resolved
+    /// Cached telemetry handles for the `note_run` hot path (resolved
     /// lazily on first use instead of by name on every call).
     recycled_counter: Option<dangle_telemetry::CounterHandle>,
     fresh_counter: Option<dangle_telemetry::CounterHandle>,
@@ -293,36 +293,38 @@ impl PoolSet {
     fn acquire_run(&mut self, machine: &mut Machine, n: usize) -> Result<VirtAddr, PoolError> {
         if let Some(base) = self.take_free_run(n) {
             machine.mmap_fixed(base.base(), n)?;
-            machine.note_event(base.base(), EventKind::FreeListHit { pages: n as u32 });
-            let t = machine.telemetry_mut();
-            if t.enabled() {
-                let h = match self.recycled_counter {
-                    Some(h) => h,
-                    None => {
-                        let h = t.metrics_mut().counter_handle("pool.pages_recycled");
-                        self.recycled_counter = Some(h);
-                        h
-                    }
-                };
-                t.metrics_mut().add(h, n as u64);
-            }
+            self.note_run(machine, base.base(), n, true);
             return Ok(base.base());
         }
         let fresh = machine.mmap(n)?;
-        machine.note_event(fresh, EventKind::FreeListMiss { pages: n as u32 });
+        self.note_run(machine, fresh, n, false);
+        Ok(fresh)
+    }
+
+    /// Records `pages` pages at `base` that were either taken off the
+    /// shared free list (`recycled`) or freshly mapped: a
+    /// `FreeListHit`/`FreeListMiss` ring event plus the
+    /// `pool.pages_recycled`/`pool.pages_fresh` counter. The shadow-page
+    /// detector records the shadow runs it maps for a pool through here too.
+    pub fn note_run(
+        &mut self,
+        machine: &mut Machine,
+        base: VirtAddr,
+        pages: usize,
+        recycled: bool,
+    ) {
+        let n = pages as u32;
+        let (kind, slot, name) = if recycled {
+            (EventKind::FreeListHit { pages: n }, &mut self.recycled_counter, "pool.pages_recycled")
+        } else {
+            (EventKind::FreeListMiss { pages: n }, &mut self.fresh_counter, "pool.pages_fresh")
+        };
+        machine.note_event(base, kind);
         let t = machine.telemetry_mut();
         if t.enabled() {
-            let h = match self.fresh_counter {
-                Some(h) => h,
-                None => {
-                    let h = t.metrics_mut().counter_handle("pool.pages_fresh");
-                    self.fresh_counter = Some(h);
-                    h
-                }
-            };
-            t.metrics_mut().add(h, n as u64);
+            let h = *slot.get_or_insert_with(|| t.metrics_mut().counter_handle(name));
+            t.metrics_mut().add(h, pages as u64);
         }
-        Ok(fresh)
     }
 
     fn acquire_page(&mut self, machine: &mut Machine) -> Result<VirtAddr, PoolError> {

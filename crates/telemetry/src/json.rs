@@ -15,8 +15,9 @@ pub enum Json {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// An integer (kept exact; u64 counters above `i64::MAX` saturate).
-    Int(i64),
+    /// An integer, exact over the whole `i64` and `u64` ranges (counters
+    /// and checksums are `u64`).
+    Int(i128),
     /// A float (ratios, percentages).
     Float(f64),
     /// A string.
@@ -45,10 +46,9 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 impl Json {
-    /// Lossless-enough conversion for counters (saturates above `i64::MAX`,
-    /// far beyond any simulated series).
+    /// Lossless conversion for counters and checksums.
     pub fn from_u64(v: u64) -> Json {
-        Json::Int(i64::try_from(v).unwrap_or(i64::MAX))
+        Json::Int(v.into())
     }
 
     /// Looks up `key` in an object.
@@ -59,18 +59,21 @@ impl Json {
         }
     }
 
-    /// The integer value, if this is a number.
+    /// The integer value, if this is a number that fits an `i64`.
     pub fn as_i64(&self) -> Option<i64> {
         match self {
-            Json::Int(v) => Some(*v),
+            Json::Int(v) => i64::try_from(*v).ok(),
             Json::Float(v) => Some(*v as i64),
             _ => None,
         }
     }
 
-    /// The integer value as u64 (negative → None).
+    /// The integer value as u64 (negative or too large → None).
     pub fn as_u64(&self) -> Option<u64> {
-        self.as_i64().and_then(|v| u64::try_from(v).ok())
+        match self {
+            Json::Int(v) => u64::try_from(*v).ok(),
+            _ => self.as_i64().and_then(|v| u64::try_from(v).ok()),
+        }
     }
 
     /// The numeric value as f64.
@@ -407,7 +410,7 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     if is_float {
         text.parse::<f64>().map(Json::Float).map_err(|_| err(start, "bad float"))
     } else {
-        text.parse::<i64>().map(Json::Int).map_err(|_| err(start, "bad integer"))
+        text.parse::<i128>().map(Json::Int).map_err(|_| err(start, "bad integer"))
     }
 }
 
@@ -477,8 +480,12 @@ mod tests {
     }
 
     #[test]
-    fn from_u64_saturates() {
-        assert_eq!(Json::from_u64(u64::MAX), Json::Int(i64::MAX));
-        assert_eq!(Json::from_u64(7), Json::Int(7));
+    fn from_u64_round_trips_at_u64_max() {
+        for v in [0, 7, i64::MAX as u64, i64::MAX as u64 + 1, u64::MAX] {
+            let text = Json::from_u64(v).to_string();
+            assert_eq!(text, v.to_string(), "a plain JSON number");
+            assert_eq!(Json::parse(&text).unwrap().as_u64(), Some(v));
+        }
+        assert_eq!(Json::from_u64(u64::MAX).as_i64(), None);
     }
 }

@@ -19,7 +19,7 @@
 //!    engines, and across core counts.
 
 use dangle_apa::{parse, pool_allocate};
-use dangle_core::SamplingConfig;
+use dangle_core::{SamplingConfig, ShadowPoolConfig};
 use dangle_interp::backend::{
     Backend, BackendError, PoolHandle, ShadowPoolBackend, ShardedPoolBackend,
 };
@@ -151,7 +151,7 @@ fn observe(
             (res, report)
         }
         Variant::Sampled(cfg) => {
-            let mut b = ShadowPoolBackend::with_sampling(cfg);
+            let mut b = ShadowPoolBackend::with_config(sampled(cfg));
             let res = run_with(engine, prog, &mut machine, &mut b, FUEL);
             let report = trap_json(&res, |t| {
                 b.detector().trap_report(&machine, t, "minic").map(|r| r.to_json().to_string())
@@ -159,7 +159,7 @@ fn observe(
             (res, report)
         }
         Variant::Sharded(shards, cfg) => {
-            let mut b = ShardedPoolBackend::with_sampling(shards, cfg);
+            let mut b = ShardedPoolBackend::with_config(shards, sampled(cfg));
             let res = run_with(engine, prog, &mut machine, &mut b, FUEL);
             let report = trap_json(&res, |t| {
                 b.detector().trap_report(&machine, t, "minic").map(|r| r.to_json().to_string())
@@ -179,6 +179,10 @@ fn observe(
         machine.clock(),
         format!("{report}|{stats:?}"),
     )
+}
+
+fn sampled(sampling: SamplingConfig) -> ShadowPoolConfig {
+    ShadowPoolConfig { sampling, ..ShadowPoolConfig::default() }
 }
 
 fn trap_json(
@@ -264,7 +268,7 @@ fn four_core_sampled_concurrent_mix_is_reproducible() {
     let mut runs = Vec::new();
     for _ in 0..2 {
         let mut m = Machine::with_config(MachineConfig { cores: 4, ..MachineConfig::default() });
-        let mut b = ShardedPoolBackend::with_sampling(4, sampling);
+        let mut b = ShardedPoolBackend::with_config(4, sampled(sampling));
         let r = cfg.run(&mut m, &mut b).unwrap();
         runs.push((r, m.clock(), format!("{:?}", m.stats())));
     }
