@@ -260,7 +260,7 @@ mod tests {
         assert_eq!(r.sites_unknown(), 0, "reasons: {:?}", r.reasons);
         assert_eq!(r.elidable_classes.len(), a.classes.len());
         // The intraprocedural mode cannot see through g/free_all_but_head.
-        let ri = crate::dataflow::lint_intra(&prog, &a);
+        let ri = crate::dataflow::lint_with_mode(&prog, &a, crate::LintMode::Intra);
         assert!(ri.sites_unknown() > 0);
     }
 
@@ -272,7 +272,7 @@ mod tests {
         assert!(r.is_clean(), "{:?}", r.diagnostics);
         assert_eq!(r.sites_unknown(), 0, "reasons: {:?}", r.reasons);
         assert_eq!(r.sites_safe(), 2);
-        let ri = crate::dataflow::lint_intra(&prog, &a);
+        let ri = crate::dataflow::lint_with_mode(&prog, &a, crate::LintMode::Intra);
         assert_eq!(ri.sites_unknown(), 2, "reasons: {:?}", ri.reasons);
     }
 }

@@ -67,7 +67,9 @@ use std::fmt;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum LintMode {
     /// Every function in isolation: parameters and heap loads are `top`,
-    /// calls havoc their arguments. This is the historical behavior.
+    /// calls havoc their arguments. This is the historical behavior, kept
+    /// as the oracle that measures what the interprocedural layer buys
+    /// (lintperf asserts inter is at least as precise).
     Intra,
     /// Call-graph driven: per-function free/alias summaries are computed
     /// bottom-up over the SCC condensation and applied at call sites, so
@@ -547,13 +549,6 @@ struct Linter<'a> {
 /// class-granular elision decision.
 pub fn lint(prog: &Program, analysis: &Analysis) -> LintReport {
     lint_with_mode(prog, analysis, LintMode::Inter)
-}
-
-/// The historical intraprocedural analysis: parameters and heap loads are
-/// `top`, calls havoc their arguments. Kept for measuring what the
-/// interprocedural layer buys.
-pub fn lint_intra(prog: &Program, analysis: &Analysis) -> LintReport {
-    lint_with_mode(prog, analysis, LintMode::Intra)
 }
 
 /// Runs the analysis in an explicit [`LintMode`].
@@ -2019,7 +2014,7 @@ mod tests {
         assert!(r.elidable_classes.is_empty());
         assert!(r.is_clean(), "no false definite findings: {}", r.render());
         // Intraprocedurally the verdict is the same, for a blunter reason.
-        let ri = lint_intra(&prog, &a);
+        let ri = lint_with_mode(&prog, &a, LintMode::Intra);
         assert_eq!(ri.verdict(0), Verdict::Unknown);
     }
 
@@ -2102,7 +2097,7 @@ mod tests {
         assert_eq!(inter.verdict(0), Verdict::ProvablySafe, "{:?}", inter.reasons);
         assert_eq!(inter.elidable_classes.len(), 1);
         assert!(inter.is_clean(), "{}", inter.render());
-        let intra = lint_intra(&prog, &a);
+        let intra = lint_with_mode(&prog, &a, LintMode::Intra);
         assert_eq!(intra.verdict(0), Verdict::Unknown);
         assert!(intra.elidable_classes.is_empty());
     }

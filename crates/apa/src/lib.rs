@@ -17,8 +17,12 @@
 //!   `malloc`/`free` → `poolalloc`/`poolfree` rewriting;
 //! * [`pretty`] — source renderer (the transformed running example prints
 //!   exactly the shape of the paper's Figure 2);
-//! * [`validate`] — static well-formedness checking of transformed
-//!   programs (pool scoping, argument threading, destroy-on-every-path);
+//! * [`resolve`] — the one name resolver: struct, function and global
+//!   tables, per-function slot and pool-register layouts, and the name
+//!   contract the validator, the compiler and both engines share;
+//! * [`validate`] — static well-formedness checking: the resolver's name
+//!   errors plus the structural pool rules of transformed programs
+//!   (destroy-on-every-path, annotations, unique free sites);
 //! * [`dataflow`] — **dangle-lint**: the flow-sensitive free-site safety
 //!   analysis that reports definite use-after-free/double-free at compile
 //!   time and proves sites safe so runtime shadow protection can be
@@ -44,6 +48,7 @@ pub mod dataflow;
 pub mod lex;
 pub mod parse;
 pub mod pretty;
+pub mod resolve;
 pub mod summary;
 pub mod transform;
 pub mod validate;
@@ -52,12 +57,13 @@ pub use analysis::{analyze, Analysis, HeapClass};
 pub use ast::{BinOp, Expr, FuncDef, LValue, Program, Span, Stmt, StructDef, Type};
 pub use callgraph::CallGraph;
 pub use dataflow::{
-    lint, lint_intra, lint_with_mode, stamp_unchecked, Diagnostic, LintMode,
+    lint, lint_with_mode, stamp_unchecked, Diagnostic, LintMode,
     LintReport, Verdict,
 };
 pub use summary::{FnSummary, ParamEffect, RetEffect};
 pub use parse::{parse, ParseError, FIGURE_1};
 pub use pretty::to_source;
+pub use resolve::{resolve, Layout, Resolved, Sty};
 pub use transform::{
     pool_allocate, pool_allocate_with_lint, pool_allocate_with_lint_mode, pool_name,
 };

@@ -1,18 +1,30 @@
-//! Static well-formedness checking for pool-transformed programs.
+//! Static well-formedness checking for MiniC programs, source or
+//! pool-transformed.
 //!
-//! The interpreter would eventually crash on malformed transform output,
-//! but late and with poor attribution. [`validate`] checks the structural
-//! contract of the Figure 2 form up front:
+//! [`validate`] reports two kinds of violations. The first are name
+//! errors, found by [`crate::resolve`], the one name resolver the
+//! compiler and both engines share, so a program `validate` accepts
+//! always compiles and runs the same on both engines. Its contract:
 //!
-//! 1. every `poolalloc`/`poolfree` names a pool descriptor that is in
-//!    scope (a pool parameter or a `poolinit` of the enclosing function);
-//! 2. every call passes exactly the pool arguments its callee declares,
-//!    all of them in scope at the call site;
-//! 3. every pool a function `poolinit`s is `pooldestroy`ed exactly once on
+//! * every use of a variable, function, struct or field names a
+//!   definition, and every call passes exactly the value and pool
+//!   arguments its callee declares;
+//! * all declarations of one name in a function have one type, a local
+//!   is visible only where its declaration ran on every path, and no
+//!   local or parameter takes a global's name;
+//! * every pool a statement or call names is in scope: a pool parameter,
+//!   or a `poolinit` of the enclosing function earlier in program order,
+//!   and no pool is initialized twice.
+//!
+//! The second are the structural rules of the Figure 2 form:
+//!
+//! 1. every pool a function `poolinit`s is `pooldestroy`ed exactly once on
 //!    *every* exit path (before each `return` and at fall-through), and
 //!    nothing destroys a pool it does not own;
-//! 4. no `malloc`/`free` is left un-annotated when the analysis knows its
-//!    class (`pool_allocate` output never is).
+//! 2. no `malloc`/`free` is left un-annotated when the analysis knows its
+//!    class (`pool_allocate` output never is);
+//! 3. free-site ids are unique, and in source mode nothing frees a
+//!    pointer whose class has no allocation site.
 //!
 //! The property tests run it over every randomly generated program.
 
@@ -20,7 +32,8 @@ use crate::ast::*;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
-/// A structural violation in a transformed program.
+/// A violation in a program: a name error or a structural one. The
+/// compiler and both engines report name errors with it too.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ValidateError {
     /// Function in which the violation occurred.
@@ -45,131 +58,30 @@ impl fmt::Display for ValidateError {
 impl std::error::Error for ValidateError {}
 
 struct Checker<'p> {
-    prog: &'p Program,
     func: &'p FuncDef,
     errors: Vec<ValidateError>,
 }
 
 impl Checker<'_> {
     fn err(&mut self, message: String) {
-        self.err_at(Span::NONE, message);
-    }
-
-    fn err_at(&mut self, span: Span, message: String) {
         self.errors.push(ValidateError {
             func: self.func.name.clone(),
-            span,
+            span: Span::NONE,
             message,
         });
     }
 
-    fn check_pool_ref(&mut self, pool: &Option<PoolRef>, scope: &HashSet<String>, what: &str) {
-        match pool {
-            None => self.err(format!("{what} without a pool annotation")),
-            Some(p) if !scope.contains(p) => {
-                self.err(format!("{what} uses pool `{p}` which is not in scope"))
-            }
-            Some(_) => {}
-        }
-    }
-
-    fn check_expr(&mut self, e: &Expr, scope: &HashSet<String>) {
-        match e {
-            Expr::Malloc { pool, .. } => {
-                self.check_pool_ref(pool, scope, "poolalloc");
-            }
-            Expr::MallocArray { pool, count, .. } => {
-                self.check_expr(count, scope);
-                self.check_pool_ref(pool, scope, "poolalloc_array");
-            }
-            Expr::Index { base, index } => {
-                self.check_expr(base, scope);
-                self.check_expr(index, scope);
-            }
-            Expr::Field { base, .. } => self.check_expr(base, scope),
-            Expr::Binary { lhs, rhs, .. } => {
-                self.check_expr(lhs, scope);
-                self.check_expr(rhs, scope);
-            }
-            Expr::Call { callee, args, pool_args, .. } => {
-                for a in args {
-                    self.check_expr(a, scope);
-                }
-                match self.prog.func(callee) {
-                    Some(f) => {
-                        if f.pool_params.len() != pool_args.len() {
-                            self.err(format!(
-                                "call to `{callee}` passes {} pool args, callee declares {}",
-                                pool_args.len(),
-                                f.pool_params.len()
-                            ));
-                        }
-                    }
-                    None => self.err(format!("call to undefined function `{callee}`")),
-                }
-                for p in pool_args {
-                    if !scope.contains(p) {
-                        self.err(format!(
-                            "call to `{callee}` passes pool `{p}` which is not in scope"
-                        ));
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-
-    /// Walks a block. `scope` is the set of visible pool descriptors;
-    /// `open` the pools inited in this function and not yet destroyed.
-    /// Returns `true` if the block always returns (all paths end in
-    /// `return`).
-    fn check_block(
-        &mut self,
-        stmts: &[Stmt],
-        scope: &mut HashSet<String>,
-        open: &mut HashSet<String>,
-    ) -> bool {
+    /// Walks a block. `open` holds the pools inited in this function and
+    /// not yet destroyed. Returns `true` if the block always returns (all
+    /// paths end in `return`).
+    fn check_block(&mut self, stmts: &[Stmt], open: &mut HashSet<String>) -> bool {
         for (i, s) in stmts.iter().enumerate() {
             match s {
-                Stmt::VarDecl { init, .. } => {
-                    if let Some(e) = init {
-                        self.check_expr(e, scope);
-                    }
-                }
-                Stmt::Assign { lhs, rhs } => {
-                    if let LValue::Field { base, .. } = lhs {
-                        self.check_expr(base, scope);
-                    }
-                    self.check_expr(rhs, scope);
-                }
-                Stmt::Free { expr, pool, span, .. } => {
-                    self.check_expr(expr, scope);
-                    // A transformed free may legitimately carry no pool:
-                    // when the points-to analysis finds NO malloc site in
-                    // the freed pointer's class, the (sound,
-                    // over-approximating) unification guarantees the
-                    // pointer can only be null at run time, and
-                    // `free(null)` is a no-op. Only a *named but
-                    // out-of-scope* pool is an error here; source-mode
-                    // validation rejects the class-less free itself (see
-                    // `validate`).
-                    if let Some(pname) = pool {
-                        if !scope.contains(pname) {
-                            self.err_at(
-                                *span,
-                                format!(
-                                    "poolfree uses pool `{pname}` which is not in scope"
-                                ),
-                            );
-                        }
-                    }
-                }
-                Stmt::If { cond, then, els } => {
-                    self.check_expr(cond, scope);
+                Stmt::If { then, els, .. } => {
                     let mut open_t = open.clone();
                     let mut open_e = open.clone();
-                    let rt = self.check_block(then, scope, &mut open_t);
-                    let re = self.check_block(els, scope, &mut open_e);
+                    let rt = self.check_block(then, &mut open_t);
+                    let re = self.check_block(els, &mut open_e);
                     match (rt, re) {
                         (true, true) => return self.tail_unreachable(&stmts[i + 1..]),
                         (true, false) => *open = open_e,
@@ -185,18 +97,14 @@ impl Checker<'_> {
                         }
                     }
                 }
-                Stmt::While { cond, body } => {
-                    self.check_expr(cond, scope);
+                Stmt::While { body, .. } => {
                     let mut open_b = open.clone();
-                    self.check_block(body, scope, &mut open_b);
+                    self.check_block(body, &mut open_b);
                     if open_b != *open {
                         self.err("`while` body changes which pools are open".to_string());
                     }
                 }
-                Stmt::Return(e) => {
-                    if let Some(e) = e {
-                        self.check_expr(e, scope);
-                    }
+                Stmt::Return(_) => {
                     if !open.is_empty() {
                         let mut names: Vec<&String> = open.iter().collect();
                         names.sort();
@@ -204,21 +112,18 @@ impl Checker<'_> {
                     }
                     return self.tail_unreachable(&stmts[i + 1..]);
                 }
-                Stmt::Print(e) | Stmt::ExprStmt(e) => self.check_expr(e, scope),
                 Stmt::PoolInit { pool, .. } => {
-                    if scope.contains(pool) {
-                        self.err(format!("pool `{pool}` initialized twice"));
-                    }
-                    scope.insert(pool.clone());
                     open.insert(pool.clone());
                 }
                 Stmt::PoolDestroy { pool } => {
-                    if !open.remove(pool) {
+                    let was_open = open.remove(pool);
+                    if !was_open {
                         self.err(format!(
                             "pooldestroy of `{pool}` which this function does not have open"
                         ));
                     }
                 }
+                _ => {}
             }
         }
         false
@@ -247,19 +152,6 @@ fn check_free_sites(
     require_pools: bool,
     errors: &mut Vec<ValidateError>,
 ) {
-    fn walk<'p>(stmts: &'p [Stmt], f: &mut impl FnMut(&'p Stmt)) {
-        for s in stmts {
-            match s {
-                Stmt::Free { .. } => f(s),
-                Stmt::If { then, els, .. } => {
-                    walk(then, f);
-                    walk(els, f);
-                }
-                Stmt::While { body, .. } => walk(body, f),
-                _ => {}
-            }
-        }
-    }
     let analysis = if require_pools {
         None
     } else {
@@ -270,7 +162,7 @@ fn check_free_sites(
     }
     let mut seen: HashMap<u32, Span> = HashMap::new();
     for func in &prog.funcs {
-        walk(&func.body, &mut |s| {
+        walk_frees(&func.body, &mut |s| {
             let Stmt::Free { expr, site, span, .. } = s else { return };
             if let Some(first) = seen.insert(*site, *span) {
                 errors.push(ValidateError {
@@ -296,6 +188,21 @@ fn check_free_sites(
                 }
             }
         });
+    }
+}
+
+/// Walks every statement of a body, visiting each `free`.
+fn walk_frees<'p>(stmts: &'p [Stmt], f: &mut impl FnMut(&'p Stmt)) {
+    for s in stmts {
+        match s {
+            Stmt::Free { .. } => f(s),
+            Stmt::If { then, els, .. } => {
+                walk_frees(then, f);
+                walk_frees(els, f);
+            }
+            Stmt::While { body, .. } => walk_frees(body, f),
+            _ => {}
+        }
     }
 }
 
@@ -365,20 +272,7 @@ fn classless_param_frees(
                 f.params.iter().position(|(p, _)| p == name)
             };
             let mut found: Vec<usize> = Vec::new();
-            fn frees<'p>(stmts: &'p [Stmt], g: &mut impl FnMut(&'p Stmt)) {
-                for s in stmts {
-                    match s {
-                        Stmt::Free { .. } => g(s),
-                        Stmt::If { then, els, .. } => {
-                            frees(then, g);
-                            frees(els, g);
-                        }
-                        Stmt::While { body, .. } => frees(body, g),
-                        _ => {}
-                    }
-                }
-            }
-            frees(&f.body, &mut |s| {
+            walk_frees(&f.body, &mut |s| {
                 let Stmt::Free { expr: Expr::Var(v), site, .. } = s else { return };
                 if !a.free_class.contains_key(site) {
                     if let Some(i) = param_idx(v) {
@@ -447,7 +341,8 @@ fn check_calls_into_classless_frees(
 
 /// Validates a (transformed) program; untransformed programs are trivially
 /// valid when their `malloc`/`free` carry no pool annotations and no pool
-/// statements exist — pass `require_pools = false` for those.
+/// statements exist — pass `require_pools = false` for those. Name errors
+/// are reported in both modes, after the structural ones.
 ///
 /// # Errors
 /// Returns every violation found (empty `Ok` means well-formed).
@@ -455,8 +350,7 @@ pub fn validate(prog: &Program, require_pools: bool) -> Result<(), Vec<ValidateE
     let mut errors = Vec::new();
     check_free_sites(prog, require_pools, &mut errors);
     for f in &prog.funcs {
-        let mut checker = Checker { prog, func: f, errors: Vec::new() };
-        let mut scope: HashSet<String> = f.pool_params.iter().cloned().collect();
+        let mut checker = Checker { func: f, errors: Vec::new() };
         let mut open = HashSet::new();
         if !require_pools {
             // Treat every malloc/free as validly un-annotated by giving an
@@ -471,13 +365,32 @@ pub fn validate(prog: &Program, require_pools: bool) -> Result<(), Vec<ValidateE
                 continue;
             }
         }
-        let returned = checker.check_block(&f.body, &mut scope, &mut open);
+        // Only allocations need a pool. A transformed free may
+        // legitimately carry none: when the points-to analysis finds NO
+        // malloc site in the freed pointer's class, the (sound,
+        // over-approximating) unification guarantees the pointer can only
+        // be null at run time, and `free(null)` is a no-op. Source-mode
+        // validation rejects the class-less free itself (see
+        // `check_free_sites`).
+        walk_exprs(&f.body, &mut |e| match e {
+            Expr::Malloc { pool: None, .. } => {
+                checker.err("poolalloc without a pool annotation".to_string())
+            }
+            Expr::MallocArray { pool: None, .. } => {
+                checker.err("poolalloc_array without a pool annotation".to_string())
+            }
+            _ => {}
+        });
+        let returned = checker.check_block(&f.body, &mut open);
         if !returned && !open.is_empty() {
             let mut names: Vec<&String> = open.iter().collect();
             names.sort();
             checker.err(format!("function ends with pools still open: {names:?}"));
         }
         errors.extend(checker.errors);
+    }
+    if let Err(names) = crate::resolve::resolve(prog) {
+        errors.extend(names);
     }
     if errors.is_empty() {
         Ok(())

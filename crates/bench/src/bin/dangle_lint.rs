@@ -15,11 +15,14 @@
 //! Output: compiler-style spanned diagnostics for every `Definite*`
 //! finding, then a per-site verdict table with the demotion reason and
 //! (interprocedurally) the call chain that carried the free effect, then
-//! the per-class elision decisions. Exit status 1 on any `Definite*`
-//! finding, 2 on usage/parse errors, 0 otherwise — scriptable as a CI
-//! gate.
+//! the per-class elision decisions. A program must parse and pass name
+//! resolution ([`dangle_apa::resolve`]: every name defined, arities
+//! matching, the name contract kept) before it is linted; otherwise the
+//! parse or name errors are printed instead. Exit status 1 on any
+//! `Definite*` finding, 2 on usage, parse or name errors, 0 otherwise —
+//! scriptable as a CI gate.
 
-use dangle_apa::{analyze, corpus, parse, LintMode, LintReport, Verdict, FIGURE_1};
+use dangle_apa::{analyze, corpus, parse, resolve, LintMode, LintReport, Verdict, FIGURE_1};
 use std::process::ExitCode;
 
 const CORPUS: &[&str] = &[
@@ -154,6 +157,12 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    if let Err(errors) = resolve(&prog) {
+        for e in errors {
+            eprintln!("dangle-lint: name error in {label}: {e}");
+        }
+        return ExitCode::from(2);
+    }
     let analysis = analyze(&prog);
     let report = dangle_apa::lint_with_mode(&prog, &analysis, mode);
 

@@ -210,11 +210,10 @@ fn main() {
         if quick { ", quick mode" } else { "" }
     );
     println!(
-        "\nAST reference note: the tree-walker itself was sped up in this change by\n\
-         interning names once at program load (Rc<str> frame keys, pre-resolved\n\
-         function/struct maps) — before interning it cloned the callee FuncDef and\n\
-         parameter/field Strings on every call. The bytecode engine then removes\n\
-         the per-access HashMap lookups entirely."
+        "\nAST reference note: the tree-walker resolves names once at program load\n\
+         (dangle_apa::resolve: slot-vector frames laid out like the VM's, pre-resolved\n\
+         function/struct maps) but still looks up each name's slot per access. The\n\
+         bytecode engine removes the per-access HashMap lookups entirely."
     );
 
     assert!(
@@ -231,9 +230,9 @@ fn main() {
     artifact.set(
         "ast_interning_note",
         Json::Str(
-            "AST engine interns function/struct/name lookups at program load (Rc<str> \
-             frames, pre-resolved def maps); pre-interning it cloned FuncDef + name \
-             Strings per call"
+            "AST engine resolves names once at program load (dangle_apa::resolve: \
+             slot-vector frames, pre-resolved def maps) and looks up each name's slot \
+             per access"
                 .into(),
         ),
     );

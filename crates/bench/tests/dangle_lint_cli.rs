@@ -72,6 +72,29 @@ fn definite_finding_exits_nonzero_with_spanned_diagnostic() {
 }
 
 #[test]
+fn name_errors_exit_two_before_linting() {
+    let dir = std::env::temp_dir().join("dangle_lint_cli_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("bad_names.mc");
+    std::fs::write(
+        &path,
+        "struct s { v: int } fn main() { var p: ptr<s> = malloc(t); free(q); print(nope(1)); }",
+    )
+    .unwrap();
+    let out = dangle_lint(&[path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(out.stdout.is_empty(), "nothing is linted: {out:?}");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    for message in [
+        "undefined struct or field `t`",
+        "undefined variable `q`",
+        "undefined function `nope`",
+    ] {
+        assert!(stderr.contains(message), "{message}: {stderr}");
+    }
+}
+
+#[test]
 fn json_output_carries_the_schema() {
     let out = dangle_lint(&["--json", "--corpus", "figure1-fixed"]);
     assert!(out.status.success(), "{out:?}");

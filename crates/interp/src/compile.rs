@@ -1,143 +1,63 @@
 //! MiniC → register-bytecode compiler.
 //!
-//! One pass over each function resolves every name to a numeric slot and
-//! linearizes control flow with jump-patched labels, while tracking the
-//! coalesced burn cost of each instruction (see [`crate::bytecode`] for
-//! the cost-accounting contract that makes the two engines clock-exact).
+//! One pass over each function linearizes control flow with
+//! jump-patched labels, while tracking the coalesced burn cost of each
+//! instruction (see [`crate::bytecode`] for the cost-accounting contract
+//! that makes the two engines clock-exact). Every name was already
+//! resolved by [`dangle_apa::resolve`]; the compiler only reads the
+//! result.
 //!
 //! ## Slot resolution
 //!
-//! * **Values** — one slot per `(function, name)`, parameters first, then
-//!   local declarations in first-occurrence order, then expression
-//!   temporaries. Re-declaring a name reuses its slot (the AST engine's
-//!   flat per-function `HashMap` does the same). Globals live in a
-//!   separate table indexed at compile time; a global read is snapshotted
-//!   into a temporary at its AST evaluation point, so later side effects
-//!   (a call mutating the global) cannot be observed early.
-//! * **Pools** — a separate register file per function: pool parameters
-//!   first, then `poolinit` registers. Pool names resolve at compile
-//!   time, so a malformed transform output fails here, not mid-run.
+//! * **Values** — the resolver's slot layout: parameters first, then
+//!   local declarations in first-occurrence order; expression temporaries
+//!   follow. Re-declaring a name reuses its slot. Globals live in a
+//!   separate table; a global read is snapshotted into a temporary at its
+//!   AST evaluation point, so later side effects (a call mutating the
+//!   global) cannot be observed early.
+//! * **Pools** — the resolver's register file: pool parameters first,
+//!   then `poolinit` registers.
 //! * **Fields/structs** — field offsets and struct sizes are burned into
 //!   the instruction; the static type of every expression is propagated
-//!   exactly as the AST engine's `Option<Type>` results would be.
+//!   exactly as the AST engine's `Sty` results are.
 //!
 //! ## Static diagnostics
 //!
-//! Name errors the AST engine only hits at run time — undefined
-//! variables, functions, structs/fields and out-of-scope pool descriptors
-//! — surface here as [`CompileError`]s carrying the same message text
-//! (plus a source span where the AST records one). Value-dependent errors
-//! (null dereference, division by zero, dereferencing a non-pointer)
-//! remain run-time errors with the AST engine's exact check order.
-//! Two classes of programs are rejected statically that the AST engine
-//! would start executing before failing: use of a variable before any
-//! declaration in program order, and call-arity mismatches — both are
-//! run-time errors under the AST engine on every path that reaches them.
+//! [`compile`] rejects exactly the programs [`dangle_apa::resolve`]
+//! rejects, with its first [`ValidateError`]: undefined variables,
+//! functions, structs, fields and pool descriptors, value and pool arity
+//! mismatches, and breaches of the name contract (one type per name,
+//! declared on every path, no shadowing of globals). The AST engine
+//! rejects the same programs with the same error before it runs, so the
+//! engines agree on every program. Value-dependent errors (null
+//! dereference, division by zero, dereferencing a non-pointer) remain
+//! run-time errors with the AST engine's exact check order.
 
 use crate::bytecode::{BcFunc, BcProgram, CallSite, Insn, POOL_NONE, SLOT_NONE};
-use dangle_apa::ast::{Expr, FuncDef, LValue, Program, Span, Stmt, StructDef, Type};
-use std::collections::HashMap;
-use std::error::Error;
-use std::fmt;
-
-/// A compile-time diagnostic, shaped like `dangle_apa::ValidateError`:
-/// the function it occurred in, a source span when the AST carries one,
-/// and the same message text the AST engine's run-time error renders.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CompileError {
-    /// Function being compiled.
-    pub func: String,
-    /// Source location (`Span::NONE` when the AST has none for the node).
-    pub span: Span,
-    /// Human-readable message.
-    pub message: String,
-}
-
-impl fmt::Display for CompileError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.span.is_known() {
-            write!(f, "in `{}` at {}: {}", self.func, self.span, self.message)
-        } else {
-            write!(f, "in `{}`: {}", self.func, self.message)
-        }
-    }
-}
-
-impl Error for CompileError {}
-
-/// Static type of an expression — the compile-time mirror of the AST
-/// engine's `Option<Type>` evaluation results.
-#[derive(Clone, Copy)]
-enum Sty<'p> {
-    Int,
-    /// Pointer to a known struct.
-    Ptr(&'p StructDef),
-    /// Pointer to an undeclared struct — dereferencing is `NotAPointer`
-    /// at run time, exactly like the AST engine's failed struct lookup.
-    PtrUndef,
-    /// No static type (`null`, void calls).
-    None,
-}
+use dangle_apa::ast::{Expr, FuncDef, LValue, Program, Stmt};
+use dangle_apa::{resolve, Layout, Resolved, Sty, ValidateError};
 
 /// Compiles every function of `prog` to bytecode.
 ///
 /// # Errors
-/// [`CompileError`] on undefined variable/function/struct/field/pool
-/// names, use of a variable before its declaration in program order, or
-/// call-arity mismatches.
-pub fn compile(prog: &Program) -> Result<BcProgram, CompileError> {
-    let structs: HashMap<&str, &StructDef> =
-        prog.structs.iter().map(|s| (s.name.as_str(), s)).collect();
-    let func_idx: HashMap<&str, u16> = prog
-        .funcs
-        .iter()
-        .enumerate()
-        .map(|(i, f)| (f.name.as_str(), i as u16))
+/// The first name error [`dangle_apa::resolve`] finds.
+pub fn compile(prog: &Program) -> Result<BcProgram, ValidateError> {
+    let res = resolve(prog).map_err(|mut errors| errors.swap_remove(0))?;
+    let funcs = (prog.funcs.iter().zip(&res.layouts))
+        .map(|(f, layout)| FuncCompiler::new(&res, f, layout).compile())
         .collect();
-    let globals: HashMap<&str, (u16, Sty)> = prog
-        .globals
-        .iter()
-        .enumerate()
-        .map(|(i, (name, ty))| (name.as_str(), (i as u16, to_sty(Some(ty), &structs))))
-        .collect();
-
-    let mut funcs = Vec::with_capacity(prog.funcs.len());
-    for f in &prog.funcs {
-        funcs.push(FuncCompiler::new(prog, f, &structs, &func_idx, &globals).compile()?);
-    }
     Ok(BcProgram {
         funcs,
-        main: func_idx.get("main").copied(),
+        main: res.main(),
         global_names: prog.globals.iter().map(|(n, _)| n.clone()).collect(),
     })
 }
 
-fn to_sty<'p>(ty: Option<&'p Type>, structs: &HashMap<&str, &'p StructDef>) -> Sty<'p> {
-    match ty {
-        None => Sty::None,
-        Some(Type::Int) => Sty::Int,
-        Some(Type::Ptr(name)) => match structs.get(name.as_str()) {
-            Some(def) => Sty::Ptr(def),
-            None => Sty::PtrUndef,
-        },
-    }
-}
-
 struct FuncCompiler<'p, 'c> {
-    prog: &'p Program,
+    res: &'c Resolved<'p>,
     func: &'p FuncDef,
-    structs: &'c HashMap<&'p str, &'p StructDef>,
-    func_idx: &'c HashMap<&'p str, u16>,
-    globals: &'c HashMap<&'p str, (u16, Sty<'p>)>,
-    /// Declared (visible) variables: slot + current static type.
-    vars: HashMap<&'p str, (u16, Sty<'p>)>,
-    /// Slots reserved for `var` declarations not yet reached.
-    reserved: HashMap<&'p str, u16>,
-    /// Pool registers in scope.
-    pools: HashMap<&'p str, u16>,
-    npools: u16,
-    /// First temporary slot (= number of named slots).
-    first_temp: u16,
+    layout: &'c Layout<'p>,
+    /// Next free temporary slot; temporaries follow the named slots.
     cur_temp: u16,
     max_slot: u16,
     /// Burns accumulated (in AST evaluation order) since the last emitted
@@ -148,66 +68,27 @@ struct FuncCompiler<'p, 'c> {
     /// Forward-jump patch list: `(insn index, label)`.
     patches: Vec<(usize, u32)>,
     labels: Vec<Option<u32>>,
-    slot_names: Vec<String>,
 }
 
 impl<'p, 'c> FuncCompiler<'p, 'c> {
-    fn new(
-        prog: &'p Program,
-        func: &'p FuncDef,
-        structs: &'c HashMap<&'p str, &'p StructDef>,
-        func_idx: &'c HashMap<&'p str, u16>,
-        globals: &'c HashMap<&'p str, (u16, Sty<'p>)>,
-    ) -> Self {
-        let mut vars = HashMap::new();
-        let mut slot_names = Vec::new();
-        for (name, ty) in &func.params {
-            let slot = slot_names.len() as u16;
-            vars.insert(name.as_str(), (slot, to_sty(Some(ty), structs)));
-            slot_names.push(name.clone());
-        }
-        // Reserve a stable slot for every `var` name, in first-occurrence
-        // order, so temporaries form a contiguous suffix.
-        let mut reserved = HashMap::new();
-        collect_decls(&func.body, &mut |name: &'p str| {
-            if !vars.contains_key(name) && !reserved.contains_key(name) {
-                reserved.insert(name, slot_names.len() as u16);
-                slot_names.push(name.to_string());
-            }
-        });
-        let mut pools = HashMap::new();
-        for (i, p) in func.pool_params.iter().enumerate() {
-            pools.insert(p.as_str(), i as u16);
-        }
-        let first_temp = slot_names.len() as u16;
+    fn new(res: &'c Resolved<'p>, func: &'p FuncDef, layout: &'c Layout<'p>) -> Self {
+        let named = layout.slots.len() as u16;
         FuncCompiler {
-            prog,
+            res,
             func,
-            structs,
-            func_idx,
-            globals,
-            vars,
-            reserved,
-            npools: func.pool_params.len() as u16,
-            pools,
-            first_temp,
-            cur_temp: first_temp,
-            max_slot: first_temp,
+            layout,
+            cur_temp: named,
+            max_slot: named,
             pending: 0,
             code: Vec::new(),
             calls: Vec::new(),
             patches: Vec::new(),
             labels: Vec::new(),
-            slot_names,
         }
     }
 
-    fn err(&self, span: Span, message: String) -> CompileError {
-        CompileError { func: self.func.name.clone(), span, message }
-    }
-
-    fn compile(mut self) -> Result<BcFunc, CompileError> {
-        self.block(&self.func.body)?;
+    fn compile(mut self) -> BcFunc {
+        self.block(&self.func.body);
         // Implicit `return 0` at the end of the body (AST `Flow::Normal`),
         // carrying any trailing pending burns.
         let cost = self.take_pending();
@@ -223,16 +104,16 @@ impl<'p, 'c> FuncCompiler<'p, 'c> {
                 other => unreachable!("patched non-jump {other:?}"),
             }
         }
-        Ok(BcFunc {
+        BcFunc {
             name: self.func.name.clone(),
             nparams: self.func.params.len() as u16,
             nslots: self.max_slot,
             npool_params: self.func.pool_params.len() as u16,
-            npools: self.npools,
+            npools: self.layout.pools.len() as u16,
             code: self.code,
             calls: self.calls,
-            slot_names: self.slot_names,
-        })
+            slot_names: self.layout.slots.iter().map(|(n, _)| n.to_string()).collect(),
+        }
     }
 
     // ---- emission helpers -------------------------------------------------
@@ -290,10 +171,10 @@ impl<'p, 'c> FuncCompiler<'p, 'c> {
     /// only references jump instructions), and the fused replacement takes
     /// the same index, so a loop-head label bound at the condition's first
     /// instruction still lands correctly.
-    fn branch_if_zero(&mut self, cond: &'p Expr, label: u32) -> Result<(), CompileError> {
+    fn branch_if_zero(&mut self, cond: &'p Expr, label: u32) {
         let mark = self.code.len();
         let temps_from = self.cur_temp;
-        let (c, _) = self.expr_value(cond)?;
+        let (c, _) = self.expr_value(cond);
         if self.code.len() > mark && c >= temps_from {
             match *self.code.last().expect("non-empty past mark") {
                 Insn::Bin { cost, op, dst, lhs, rhs } if dst == c => {
@@ -301,20 +182,19 @@ impl<'p, 'c> FuncCompiler<'p, 'c> {
                     let cost = cost + self.take_pending();
                     let at = self.emit(Insn::BrZero { cost, op, lhs, rhs, target: 0 });
                     self.patches.push((at, label));
-                    return Ok(());
+                    return;
                 }
                 Insn::BinImm { cost, op, dst, lhs, imm } if dst == c => {
                     self.code.pop();
                     let cost = cost + self.take_pending();
                     let at = self.emit(Insn::BrZeroImm { cost, op, lhs, imm, target: 0 });
                     self.patches.push((at, label));
-                    return Ok(());
+                    return;
                 }
                 _ => {}
             }
         }
         self.jump_if_zero(c, label);
-        Ok(())
     }
 
     fn temp(&mut self) -> u16 {
@@ -329,73 +209,56 @@ impl<'p, 'c> FuncCompiler<'p, 'c> {
     /// Compiles `e` to a readable slot. Local variables return their own
     /// slot without emitting anything (safe: expressions cannot write
     /// locals); everything else materializes into a temporary.
-    fn expr_value(&mut self, e: &'p Expr) -> Result<(u16, Sty<'p>), CompileError> {
+    fn expr_value(&mut self, e: &'p Expr) -> (u16, Sty<'p>) {
         if let Expr::Var(name) = e {
             self.pending += 1; // the AST's per-node burn
-            if let Some(&(slot, sty)) = self.vars.get(name.as_str()) {
-                return Ok((slot, sty));
+            if let Some(local) = self.layout.local(name) {
+                return local;
             }
             let dst = self.temp();
-            let sty = self.global_get(name, dst)?;
-            return Ok((dst, sty));
+            return (dst, self.global_get(name, dst));
         }
         let dst = self.temp();
-        let sty = self.expr_into(e, dst)?;
-        Ok((dst, sty))
+        (dst, self.expr_into(e, dst))
     }
 
-    fn global_get(&mut self, name: &'p str, dst: u16) -> Result<Sty<'p>, CompileError> {
-        let &(idx, sty) = self
-            .globals
-            .get(name)
-            .ok_or_else(|| self.err(Span::NONE, format!("undefined variable `{name}`")))?;
+    fn global_get(&mut self, name: &str, dst: u16) -> Sty<'p> {
+        let (idx, sty) = self.res.global(name);
         let cost = self.take_pending();
         self.emit(Insn::GlobalGet { cost, dst, idx });
-        Ok(sty)
+        sty
     }
 
-    fn resolve_pool(&self, pool: Option<&'p String>, span: Span) -> Result<u16, CompileError> {
-        match pool {
-            None => Ok(POOL_NONE),
-            Some(name) => self.pools.get(name.as_str()).copied().ok_or_else(|| {
-                self.err(span, format!("pool descriptor `{name}` not in scope"))
-            }),
-        }
-    }
-
-    fn struct_lookup(&self, name: &'p str, span: Span) -> Result<&'p StructDef, CompileError> {
-        self.structs
-            .get(name)
-            .copied()
-            .ok_or_else(|| self.err(span, format!("undefined struct or field `{name}`")))
+    fn pool(&self, pool: Option<&String>) -> u16 {
+        pool.map_or(POOL_NONE, |name| self.layout.pool(name))
     }
 
     /// Compiles `e` into `dst`. `dst` may alias a slot read by the
     /// expression: every instruction writes its destination last.
-    fn expr_into(&mut self, e: &'p Expr, dst: u16) -> Result<Sty<'p>, CompileError> {
+    fn expr_into(&mut self, e: &'p Expr, dst: u16) -> Sty<'p> {
         self.pending += 1; // the AST's per-node burn
         match e {
             Expr::Int(v) => {
                 let cost = self.take_pending();
                 self.emit(Insn::Const { cost, dst, val: *v });
-                Ok(Sty::Int)
+                Sty::Int
             }
             Expr::Null => {
                 let cost = self.take_pending();
                 self.emit(Insn::Const { cost, dst, val: 0 });
-                Ok(Sty::None)
+                Sty::None
             }
             Expr::Var(name) => {
-                if let Some(&(slot, sty)) = self.vars.get(name.as_str()) {
+                if let Some((slot, sty)) = self.layout.local(name) {
                     let cost = self.take_pending();
                     self.emit(Insn::Copy { cost, dst, src: slot });
-                    return Ok(sty);
+                    return sty;
                 }
                 self.global_get(name, dst)
             }
-            Expr::Malloc { struct_name, pool, unchecked, span, .. } => {
-                let def = self.struct_lookup(struct_name, *span)?;
-                let pool = self.resolve_pool(pool.as_ref(), *span)?;
+            Expr::Malloc { struct_name, pool, unchecked, .. } => {
+                let def = self.res.struct_def(struct_name);
+                let pool = self.pool(pool.as_ref());
                 let cost = self.take_pending();
                 self.emit(Insn::Malloc {
                     cost,
@@ -405,12 +268,12 @@ impl<'p, 'c> FuncCompiler<'p, 'c> {
                     pool,
                     unchecked: *unchecked,
                 });
-                Ok(Sty::Ptr(def))
+                Sty::Ptr(def)
             }
-            Expr::MallocArray { struct_name, count, pool, unchecked, span, .. } => {
-                let def = self.struct_lookup(struct_name, *span)?;
-                let pool = self.resolve_pool(pool.as_ref(), *span)?;
-                let (count, _) = self.expr_value(count)?;
+            Expr::MallocArray { struct_name, count, pool, unchecked, .. } => {
+                let def = self.res.struct_def(struct_name);
+                let pool = self.pool(pool.as_ref());
+                let (count, _) = self.expr_value(count);
                 let cost = self.take_pending();
                 self.emit(Insn::MallocArray {
                     cost,
@@ -421,11 +284,11 @@ impl<'p, 'c> FuncCompiler<'p, 'c> {
                     pool,
                     unchecked: *unchecked,
                 });
-                Ok(Sty::Ptr(def))
+                Sty::Ptr(def)
             }
             Expr::Index { base, index } => {
-                let (bslot, bty) = self.expr_value(base)?;
-                let (islot, _) = self.expr_value(index)?;
+                let (bslot, bty) = self.expr_value(base);
+                let (islot, _) = self.expr_value(index);
                 let cost = self.take_pending();
                 match bty {
                     Sty::Ptr(def) => {
@@ -436,38 +299,30 @@ impl<'p, 'c> FuncCompiler<'p, 'c> {
                             index: islot,
                             elem_size: def.size() as u32,
                         });
-                        Ok(bty)
+                        bty
                     }
                     _ => {
                         self.emit(Insn::FailNotPtr { cost, base: bslot });
-                        Ok(Sty::None)
+                        Sty::None
                     }
                 }
             }
-            Expr::Field { base, field, span } => {
-                let (bslot, bty) = self.expr_value(base)?;
+            Expr::Field { base, field, .. } => {
+                let (bslot, bty) = self.expr_value(base);
                 let cost = self.take_pending();
-                match bty {
-                    Sty::Ptr(def) => {
-                        let off = def.offset_of(field).ok_or_else(|| {
-                            self.err(*span, format!("undefined struct or field `{field}`"))
-                        })?;
-                        self.emit(Insn::LoadField {
-                            cost,
-                            dst,
-                            base: bslot,
-                            offset: off as u32,
-                        });
-                        Ok(to_sty(def.type_of(field), self.structs))
+                match self.res.field(bty, field) {
+                    Some((offset, fty)) => {
+                        self.emit(Insn::LoadField { cost, dst, base: bslot, offset });
+                        fty
                     }
-                    _ => {
+                    None => {
                         self.emit(Insn::FailNotPtr { cost, base: bslot });
-                        Ok(Sty::None)
+                        Sty::None
                     }
                 }
             }
             Expr::Binary { op, lhs, rhs } => {
-                let (l, _) = self.expr_value(lhs)?;
+                let (l, _) = self.expr_value(lhs);
                 // A literal right operand folds into the instruction; its
                 // per-node burn joins the pending batch, charged (as the
                 // `Const` would have been) after the left operand.
@@ -475,148 +330,93 @@ impl<'p, 'c> FuncCompiler<'p, 'c> {
                     self.pending += 1;
                     let cost = self.take_pending();
                     self.emit(Insn::BinImm { cost, op: *op, dst, lhs: l, imm });
-                    return Ok(Sty::Int);
+                    return Sty::Int;
                 }
-                let (r, _) = self.expr_value(rhs)?;
+                let (r, _) = self.expr_value(rhs);
                 let cost = self.take_pending();
                 self.emit(Insn::Bin { cost, op: *op, dst, lhs: l, rhs: r });
-                Ok(Sty::Int)
+                Sty::Int
             }
             Expr::Call { callee, args, pool_args, .. } => {
-                let &fidx = self.func_idx.get(callee.as_str()).ok_or_else(|| {
-                    self.err(Span::NONE, format!("undefined function `{callee}`"))
-                })?;
-                let target = &self.prog.funcs[fidx as usize];
-                if target.params.len() != args.len() {
-                    return Err(self.err(
-                        Span::NONE,
-                        format!(
-                            "call to `{callee}` passes {} value argument(s), `{callee}` \
-                             declares {}",
-                            args.len(),
-                            target.params.len()
-                        ),
-                    ));
-                }
-                if target.pool_params.len() != pool_args.len() {
-                    return Err(self.err(
-                        Span::NONE,
-                        format!(
-                            "call to `{callee}` passes {} pool argument(s), `{callee}` \
-                             declares {}",
-                            pool_args.len(),
-                            target.pool_params.len()
-                        ),
-                    ));
-                }
-                let mut arg_slots = Vec::with_capacity(args.len());
-                for a in args {
-                    arg_slots.push(self.expr_value(a)?.0);
-                }
-                let mut pool_slots = Vec::with_capacity(pool_args.len());
-                for p in pool_args {
-                    pool_slots.push(self.resolve_pool(Some(p), Span::NONE)?);
-                }
+                let (func, ret) = self.res.func(callee);
+                let args = args.iter().map(|a| self.expr_value(a).0).collect();
+                let pool_args = pool_args.iter().map(|p| self.layout.pool(p)).collect();
                 let site = self.calls.len() as u32;
-                self.calls.push(CallSite { func: fidx, args: arg_slots, pool_args: pool_slots });
+                self.calls.push(CallSite { func, args, pool_args });
                 let cost = self.take_pending();
                 self.emit(Insn::Call { cost, dst, site });
-                Ok(to_sty(target.ret.as_ref(), self.structs))
+                ret
             }
         }
     }
 
     // ---- statements -------------------------------------------------------
 
-    fn block(&mut self, stmts: &'p [Stmt]) -> Result<(), CompileError> {
+    fn block(&mut self, stmts: &'p [Stmt]) {
         for s in stmts {
-            self.cur_temp = self.first_temp; // temporaries are per-statement
-            self.stmt(s)?;
+            // Temporaries are per-statement.
+            self.cur_temp = self.layout.slots.len() as u16;
+            self.stmt(s);
         }
-        Ok(())
     }
 
-    fn stmt(&mut self, s: &'p Stmt) -> Result<(), CompileError> {
+    fn stmt(&mut self, s: &'p Stmt) {
         self.pending += 1; // the AST's per-statement burn
         match s {
-            Stmt::VarDecl { name, ty, init } => {
-                let slot = match self.vars.get(name.as_str()) {
-                    Some(&(slot, _)) => slot,
-                    None => self.reserved[name.as_str()],
-                };
+            Stmt::VarDecl { name, init, .. } => {
+                let (slot, _) = self.layout.local(name).expect("declared name has a slot");
                 // The initializer runs before the name becomes visible
-                // (`var x: int = x;` reads the *outer* x or fails).
+                // (`var x: int = x;` reads an earlier declaration of x).
                 match init {
                     Some(e) => {
-                        self.expr_into(e, slot)?;
+                        self.expr_into(e, slot);
                     }
                     None => {
                         let cost = self.take_pending();
                         self.emit(Insn::Const { cost, dst: slot, val: 0 });
                     }
                 }
-                self.vars.insert(name.as_str(), (slot, to_sty(Some(ty), self.structs)));
-                Ok(())
             }
             Stmt::Assign { lhs, rhs } => match lhs {
                 LValue::Var(name) => {
-                    if let Some(&(slot, _)) = self.vars.get(name.as_str()) {
-                        self.expr_into(rhs, slot)?;
-                        return Ok(());
+                    if let Some((slot, _)) = self.layout.local(name) {
+                        self.expr_into(rhs, slot);
+                        return;
                     }
-                    let &(idx, _) = self.globals.get(name.as_str()).ok_or_else(|| {
-                        self.err(Span::NONE, format!("undefined variable `{name}`"))
-                    })?;
-                    let (src, _) = self.expr_value(rhs)?;
+                    let (idx, _) = self.res.global(name);
+                    let (src, _) = self.expr_value(rhs);
                     let cost = self.take_pending();
                     self.emit(Insn::GlobalSet { cost, idx, src });
-                    Ok(())
                 }
-                LValue::Field { base, field, span } => {
+                LValue::Field { base, field, .. } => {
                     // AST order: rhs first, then the base.
-                    let (src, _) = self.expr_value(rhs)?;
-                    let (bslot, bty) = self.expr_value(base)?;
+                    let (src, _) = self.expr_value(rhs);
+                    let (bslot, bty) = self.expr_value(base);
                     let cost = self.take_pending();
-                    match bty {
-                        Sty::Ptr(def) => {
-                            let off = def.offset_of(field).ok_or_else(|| {
-                                self.err(
-                                    *span,
-                                    format!("undefined struct or field `{field}`"),
-                                )
-                            })?;
-                            self.emit(Insn::StoreField {
-                                cost,
-                                base: bslot,
-                                offset: off as u32,
-                                src,
-                            });
+                    match self.res.field(bty, field) {
+                        Some((offset, _)) => {
+                            self.emit(Insn::StoreField { cost, base: bslot, offset, src })
                         }
-                        _ => {
-                            self.emit(Insn::FailNotPtr { cost, base: bslot });
-                        }
-                    }
-                    Ok(())
+                        None => self.emit(Insn::FailNotPtr { cost, base: bslot }),
+                    };
                 }
             },
-            Stmt::Free { expr, pool, unchecked, span, .. } => {
-                let pool = self.resolve_pool(pool.as_ref(), *span)?;
-                let (src, _) = self.expr_value(expr)?;
+            Stmt::Free { expr, pool, unchecked, .. } => {
+                let pool = self.pool(pool.as_ref());
+                let (src, _) = self.expr_value(expr);
                 let cost = self.take_pending();
                 self.emit(Insn::Free { cost, src, pool, unchecked: *unchecked });
-                Ok(())
             }
             Stmt::If { cond, then, els } => {
                 let else_l = self.new_label();
                 let end_l = self.new_label();
-                self.branch_if_zero(cond, else_l)?;
-                self.block(then)?;
+                self.branch_if_zero(cond, else_l);
+                self.block(then);
                 self.jump_to(end_l);
                 self.bind(else_l);
-                self.block(els)?;
+                self.block(els);
                 self.flush();
                 self.bind(end_l);
-                Ok(())
             }
             Stmt::While { cond, body } => {
                 let head = self.new_label();
@@ -626,69 +426,35 @@ impl<'p, 'c> FuncCompiler<'p, 'c> {
                 // head so iterations don't recharge it.
                 self.flush();
                 self.bind(head);
-                self.branch_if_zero(cond, exit)?;
-                self.block(body)?;
+                self.branch_if_zero(cond, exit);
+                self.block(body);
                 self.jump_to(head);
                 self.bind(exit);
-                Ok(())
             }
             Stmt::Return(e) => {
-                let src = match e {
-                    Some(e) => self.expr_value(e)?.0,
-                    None => SLOT_NONE,
-                };
+                let src = e.as_ref().map_or(SLOT_NONE, |e| self.expr_value(e).0);
                 let cost = self.take_pending();
                 self.emit(Insn::Ret { cost, src });
-                Ok(())
             }
             Stmt::Print(e) => {
-                let (src, _) = self.expr_value(e)?;
+                let (src, _) = self.expr_value(e);
                 let cost = self.take_pending();
                 self.emit(Insn::Print { cost, src });
-                Ok(())
             }
             Stmt::ExprStmt(e) => {
                 // Result discarded; a bare `x;` emits nothing and its
                 // burns ride on the next instruction.
-                self.expr_value(e)?;
-                Ok(())
+                self.expr_value(e);
             }
             Stmt::PoolInit { pool, elem_size } => {
-                let reg = match self.pools.get(pool.as_str()) {
-                    Some(&r) => r,
-                    None => {
-                        let r = self.npools;
-                        self.npools += 1;
-                        self.pools.insert(pool.as_str(), r);
-                        r
-                    }
-                };
                 let cost = self.take_pending();
-                self.emit(Insn::PoolCreate { cost, dst: reg, elem_size: *elem_size as u32 });
-                Ok(())
+                let dst = self.layout.pool(pool);
+                self.emit(Insn::PoolCreate { cost, dst, elem_size: *elem_size as u32 });
             }
             Stmt::PoolDestroy { pool } => {
-                let reg = self.resolve_pool(Some(pool), Span::NONE)?;
                 let cost = self.take_pending();
-                self.emit(Insn::PoolDestroy { cost, pool: reg });
-                Ok(())
+                self.emit(Insn::PoolDestroy { cost, pool: self.layout.pool(pool) });
             }
-        }
-    }
-}
-
-/// Walks `stmts` invoking `f` on every `var` declaration name, in program
-/// order (the slot-reservation order).
-fn collect_decls<'p>(stmts: &'p [Stmt], f: &mut impl FnMut(&'p str)) {
-    for s in stmts {
-        match s {
-            Stmt::VarDecl { name, .. } => f(name),
-            Stmt::If { then, els, .. } => {
-                collect_decls(then, f);
-                collect_decls(els, f);
-            }
-            Stmt::While { body, .. } => collect_decls(body, f),
-            _ => {}
         }
     }
 }
@@ -698,7 +464,7 @@ mod tests {
     use super::*;
     use dangle_apa::parse;
 
-    fn compile_err(src: &str) -> CompileError {
+    fn compile_err(src: &str) -> ValidateError {
         compile(&parse(src).unwrap()).unwrap_err()
     }
 
@@ -751,8 +517,7 @@ mod tests {
 
     #[test]
     fn use_before_declaration_is_a_compile_error() {
-        // The AST engine would execute the first print before failing;
-        // compilation rejects the whole program (documented divergence).
+        // Both engines reject the whole program before running it.
         let err = compile_err("fn main() { print(1); print(n); var n: int = 2; }");
         assert_eq!(err.message, "undefined variable `n`");
     }

@@ -16,9 +16,11 @@
 //! Two execution engines share that contract: the tree-walking AST
 //! interpreter ([`run`], [`Engine::Ast`]) and the register-bytecode
 //! compiler + VM ([`compile`] → [`run_compiled`], [`Engine::Bytecode`]),
-//! which resolves every name to a numeric slot ahead of time for ~10x the
-//! host throughput. The engines are differentially tested to produce
-//! identical output, steps, simulated clock, detections and trap reports;
+//! which lowers every name to a numeric slot ahead of time for ~10x the
+//! host throughput. Both read their names from [`dangle_apa::resolve`]
+//! and reject the programs it rejects, with the same error, before
+//! running. The engines are differentially tested to produce identical
+//! output, steps, simulated clock, detections and trap reports;
 //! [`run_with`] selects one.
 //!
 //! ```rust
@@ -41,16 +43,15 @@ pub mod vm;
 
 pub use backend::{Backend, BackendError, PoolHandle};
 pub use bytecode::BcProgram;
-pub use compile::{compile, CompileError};
+pub use compile::compile;
 pub use vm::run_compiled;
 
 use dangle_apa::ast::*;
+use dangle_apa::{resolve, Layout, Resolved, Sty, ValidateError};
 use dangle_telemetry::Category;
 use dangle_vmm::{Machine, VirtAddr};
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use std::rc::Rc;
 
 /// Result of a completed run.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -72,23 +73,15 @@ pub enum RunError {
     NullDereference,
     /// Integer division or remainder by zero.
     DivisionByZero,
-    /// Unknown variable.
-    UndefinedVariable(String),
-    /// Unknown function.
-    UndefinedFunction(String),
-    /// Unknown struct or field.
-    UndefinedField(String),
-    /// A pool descriptor was not in scope (malformed transform output).
-    UndefinedPool(String),
     /// Expression used as a struct pointer but its static type is not one.
     NotAPointer,
     /// The program has no `main`.
     NoMain,
     /// The fuel limit was exhausted.
     OutOfFuel,
-    /// The bytecode engine rejected the program before execution (static
-    /// name errors the AST engine would only hit at run time).
-    Compile(CompileError),
+    /// Name resolution rejected the program before execution: the first
+    /// error [`dangle_apa::resolve`] found, the same on both engines.
+    Name(ValidateError),
 }
 
 impl fmt::Display for RunError {
@@ -97,14 +90,10 @@ impl fmt::Display for RunError {
             RunError::Backend(e) => write!(f, "{e}"),
             RunError::NullDereference => write!(f, "null pointer dereference"),
             RunError::DivisionByZero => write!(f, "division by zero"),
-            RunError::UndefinedVariable(v) => write!(f, "undefined variable `{v}`"),
-            RunError::UndefinedFunction(v) => write!(f, "undefined function `{v}`"),
-            RunError::UndefinedField(v) => write!(f, "undefined struct or field `{v}`"),
-            RunError::UndefinedPool(v) => write!(f, "pool descriptor `{v}` not in scope"),
             RunError::NotAPointer => write!(f, "expression is not a struct pointer"),
             RunError::NoMain => write!(f, "program has no `main` function"),
             RunError::OutOfFuel => write!(f, "fuel exhausted (possible infinite loop)"),
-            RunError::Compile(e) => write!(f, "{e}"),
+            RunError::Name(e) => write!(f, "{e}"),
         }
     }
 }
@@ -134,7 +123,7 @@ pub enum Engine {
 }
 
 /// [`run`] through the selected engine. The bytecode engine compiles
-/// first; static name errors surface as [`RunError::Compile`].
+/// first; on either engine name errors surface as [`RunError::Name`].
 ///
 /// # Errors
 /// See [`RunError`].
@@ -148,31 +137,28 @@ pub fn run_with(
     match engine {
         Engine::Ast => run(prog, machine, backend, fuel),
         Engine::Bytecode => {
-            let bc = compile(prog).map_err(RunError::Compile)?;
+            let bc = compile(prog).map_err(RunError::Name)?;
             run_compiled(&bc, machine, backend, fuel)
         }
     }
 }
 
-/// Static (pointee) type of an evaluated expression — a `Copy` mirror of
-/// the old `Option<Type>` results, interned against the program so no
-/// `String` is cloned per access.
-#[derive(Clone, Copy)]
-enum Sty<'p> {
-    Int,
-    /// Pointer to a known struct.
-    Ptr(&'p StructDef),
-    /// Pointer to an undeclared struct (dereference = `NotAPointer`).
-    PtrUndef,
-    /// No static type (`null`, void calls).
-    None,
+/// A call frame: value slots and pool registers, laid out by the
+/// resolver exactly as the bytecode engine lays out its own.
+struct Frame<'r, 'p> {
+    layout: &'r Layout<'p>,
+    vals: Vec<i64>,
+    pools: Vec<PoolHandle>,
 }
 
-#[derive(Default)]
-struct Frame<'p> {
-    vars: HashMap<Rc<str>, i64>,
-    var_types: HashMap<Rc<str>, Sty<'p>>,
-    pools: HashMap<Rc<str>, PoolHandle>,
+impl<'r, 'p> Frame<'r, 'p> {
+    fn new(layout: &'r Layout<'p>) -> Self {
+        Frame { layout, vals: vec![0; layout.slots.len()], pools: vec![0; layout.pools.len()] }
+    }
+
+    fn pool(&self, name: &str) -> PoolHandle {
+        self.pools[self.layout.pool(name) as usize]
+    }
 }
 
 enum Flow {
@@ -180,65 +166,15 @@ enum Flow {
     Returned(i64),
 }
 
-struct Interp<'p, 'm, 'b> {
-    /// Name-resolution tables built once per run: function and struct
-    /// lookups are O(1) with no `FuncDef` clone per call, and every
-    /// variable/pool key is a pre-interned `Rc<str>` so frame inserts are
-    /// refcount bumps, not `String` allocations.
-    funcs: HashMap<&'p str, &'p FuncDef>,
-    structs: HashMap<&'p str, &'p StructDef>,
-    names: HashMap<&'p str, Rc<str>>,
+struct Interp<'r, 'p, 'm, 'b> {
+    funcs: &'p [FuncDef],
+    res: &'r Resolved<'p>,
     machine: &'m mut Machine,
     backend: &'b mut dyn Backend,
-    globals: Frame<'p>,
+    globals: Vec<i64>,
     output: Vec<i64>,
     fuel: u64,
     steps: u64,
-}
-
-fn to_sty<'p>(ty: Option<&'p Type>, structs: &HashMap<&'p str, &'p StructDef>) -> Sty<'p> {
-    match ty {
-        None => Sty::None,
-        Some(Type::Int) => Sty::Int,
-        Some(Type::Ptr(name)) => match structs.get(name.as_str()) {
-            Some(def) => Sty::Ptr(def),
-            None => Sty::PtrUndef,
-        },
-    }
-}
-
-/// Collects every name a run can insert into a frame (globals, params,
-/// locals, pool descriptors) so they are interned exactly once.
-fn collect_names<'p>(prog: &'p Program, names: &mut HashMap<&'p str, Rc<str>>) {
-    fn add<'p>(names: &mut HashMap<&'p str, Rc<str>>, n: &'p str) {
-        names.entry(n).or_insert_with(|| Rc::from(n));
-    }
-    fn walk<'p>(names: &mut HashMap<&'p str, Rc<str>>, stmts: &'p [Stmt]) {
-        for s in stmts {
-            match s {
-                Stmt::VarDecl { name, .. } => add(names, name),
-                Stmt::PoolInit { pool, .. } => add(names, pool),
-                Stmt::If { then, els, .. } => {
-                    walk(names, then);
-                    walk(names, els);
-                }
-                Stmt::While { body, .. } => walk(names, body),
-                _ => {}
-            }
-        }
-    }
-    for (g, _) in &prog.globals {
-        add(names, g);
-    }
-    for f in &prog.funcs {
-        for (p, _) in &f.params {
-            add(names, p);
-        }
-        for p in &f.pool_params {
-            add(names, p);
-        }
-        walk(names, &f.body);
-    }
 }
 
 /// Executes `prog`'s `main` against `backend`, with at most `fuel`
@@ -246,52 +182,31 @@ fn collect_names<'p>(prog: &'p Program, names: &mut HashMap<&'p str, Rc<str>>) {
 ///
 /// # Errors
 /// See [`RunError`]; memory-safety detections surface as
-/// [`RunError::Backend`].
+/// [`RunError::Backend`], and a program [`dangle_apa::resolve`] rejects
+/// fails with [`RunError::Name`] before it runs.
 pub fn run(
     prog: &Program,
     machine: &mut Machine,
     backend: &mut dyn Backend,
     fuel: u64,
 ) -> Result<RunOutcome, RunError> {
-    let funcs: HashMap<&str, &FuncDef> =
-        prog.funcs.iter().map(|f| (f.name.as_str(), f)).collect();
-    let structs: HashMap<&str, &StructDef> =
-        prog.structs.iter().map(|s| (s.name.as_str(), s)).collect();
-    let mut names = HashMap::new();
-    collect_names(prog, &mut names);
-    let mut globals = Frame::default();
-    for (g, t) in &prog.globals {
-        let key = names[g.as_str()].clone();
-        globals.vars.insert(key.clone(), 0);
-        globals.var_types.insert(key, to_sty(Some(t), &structs));
-    }
-    let main = *funcs.get("main").ok_or(RunError::NoMain)?;
+    let res = resolve(prog).map_err(|mut errors| RunError::Name(errors.swap_remove(0)))?;
+    let main = res.main().ok_or(RunError::NoMain)?;
     let mut interp = Interp {
-        funcs,
-        structs,
-        names,
+        funcs: &prog.funcs,
+        res: &res,
         machine,
         backend,
-        globals,
+        globals: vec![0; prog.globals.len()],
         output: Vec::new(),
         fuel,
         steps: 0,
     };
-    let mut frame = Frame::default();
-    // Shadow call stack: on an abnormal exit (trap, runtime error) the `?`
-    // below skips the pop, deliberately freezing the stack at the faulting
-    // frame so the detector can attach it to the trap report as use_stack.
-    interp.machine.telemetry_mut().push_call("main");
-    interp.machine.span_enter("main", Category::App);
-    match interp.exec_block(&main.body, &mut frame)? {
-        Flow::Normal | Flow::Returned(_) => {}
-    }
-    interp.machine.span_exit();
-    interp.machine.telemetry_mut().pop_call();
+    interp.call(main, &mut Frame::new(&res.layouts[main as usize]))?;
     Ok(RunOutcome { output: interp.output, steps_used: interp.steps })
 }
 
-impl<'p> Interp<'p, '_, '_> {
+impl<'r, 'p> Interp<'r, 'p, '_, '_> {
     fn burn(&mut self) -> Result<(), RunError> {
         if self.fuel == 0 {
             return Err(RunError::OutOfFuel);
@@ -302,92 +217,35 @@ impl<'p> Interp<'p, '_, '_> {
         Ok(())
     }
 
-    fn struct_of(&self, ty: Sty<'p>) -> Option<&'p StructDef> {
-        match ty {
-            Sty::Ptr(def) => Some(def),
-            _ => None,
-        }
-    }
-
-    fn sty_of(&self, ty: Option<&'p Type>) -> Sty<'p> {
-        to_sty(ty, &self.structs)
-    }
-
-    /// The pre-interned key for `name` (a refcount bump, not a `String`
-    /// allocation; falls back to a fresh `Rc` for names outside the
-    /// program, which cannot happen for well-formed input).
-    fn intern(&self, name: &str) -> Rc<str> {
-        self.names.get(name).map(Rc::clone).unwrap_or_else(|| Rc::from(name))
-    }
-
     /// Evaluates `e`, returning its value and (for pointers) its static
     /// pointee struct type.
-    fn eval(&mut self, e: &'p Expr, frame: &mut Frame<'p>) -> Result<(i64, Sty<'p>), RunError> {
+    fn eval(
+        &mut self,
+        e: &'p Expr,
+        frame: &mut Frame<'r, 'p>,
+    ) -> Result<(i64, Sty<'p>), RunError> {
         self.burn()?;
         match e {
             Expr::Int(v) => Ok((*v, Sty::Int)),
             Expr::Null => Ok((0, Sty::None)),
-            Expr::Var(name) => {
-                if let Some(&v) = frame.vars.get(name.as_str()) {
-                    Ok((v, frame.var_types.get(name.as_str()).copied().unwrap_or(Sty::None)))
-                } else if let Some(&v) = self.globals.vars.get(name.as_str()) {
-                    Ok((
-                        v,
-                        self.globals
-                            .var_types
-                            .get(name.as_str())
-                            .copied()
-                            .unwrap_or(Sty::None),
-                    ))
-                } else {
-                    Err(RunError::UndefinedVariable(name.clone()))
+            Expr::Var(name) => Ok(match frame.layout.local(name) {
+                Some((slot, sty)) => (frame.vals[slot as usize], sty),
+                None => {
+                    let (idx, sty) = self.res.global(name);
+                    (self.globals[idx as usize], sty)
                 }
-            }
+            }),
             Expr::Malloc { struct_name, pool, unchecked, .. } => {
-                let def = *self
-                    .structs
-                    .get(struct_name.as_str())
-                    .ok_or_else(|| RunError::UndefinedField(struct_name.clone()))?;
-                let size = def.size();
-                let nfields = def.fields.len();
-                let handle = self.resolve_pool(pool.as_deref(), frame)?;
-                let addr = if *unchecked {
-                    self.backend.alloc_unchecked(self.machine, size, handle)?
-                } else {
-                    self.backend.alloc(self.machine, size, handle)?
-                };
-                // MiniC mallocs are zero-initialized (calloc semantics), so
-                // program behaviour is deterministic across backends even
-                // when the underlying allocator recycles dirty memory.
-                for i in 0..nfields {
-                    self.backend.store(self.machine, addr.add(i as u64 * 8), 8, 0)?;
-                }
-                Ok((addr.raw() as i64, Sty::Ptr(def)))
+                self.alloc(struct_name, 1, pool, *unchecked, frame)
             }
             Expr::MallocArray { struct_name, count, pool, unchecked, .. } => {
-                let def = *self
-                    .structs
-                    .get(struct_name.as_str())
-                    .ok_or_else(|| RunError::UndefinedField(struct_name.clone()))?;
                 let (n, _) = self.eval(count, frame)?;
                 if !(0..=1 << 20).contains(&n) {
                     return Err(RunError::Backend(BackendError::Other(format!(
                         "malloc_array count {n} out of range"
                     ))));
                 }
-                let elem = def.size();
-                let nfields = def.fields.len();
-                let total = elem * (n.max(1) as usize);
-                let handle = self.resolve_pool(pool.as_deref(), frame)?;
-                let addr = if *unchecked {
-                    self.backend.alloc_unchecked(self.machine, total, handle)?
-                } else {
-                    self.backend.alloc(self.machine, total, handle)?
-                };
-                for i in 0..nfields * n.max(1) as usize {
-                    self.backend.store(self.machine, addr.add(i as u64 * 8), 8, 0)?;
-                }
-                Ok((addr.raw() as i64, Sty::Ptr(def)))
+                self.alloc(struct_name, n.max(1) as usize, pool, *unchecked, frame)
             }
             Expr::Index { base, index } => {
                 let (bv, bt) = self.eval(base, frame)?;
@@ -395,7 +253,7 @@ impl<'p> Interp<'p, '_, '_> {
                 if bv == 0 {
                     return Err(RunError::NullDereference);
                 }
-                let def = self.struct_of(bt).ok_or(RunError::NotAPointer)?;
+                let Sty::Ptr(def) = bt else { return Err(RunError::NotAPointer) };
                 let addr = (bv as u64).wrapping_add((iv as u64).wrapping_mul(def.size() as u64));
                 Ok((addr as i64, bt))
             }
@@ -404,11 +262,7 @@ impl<'p> Interp<'p, '_, '_> {
                 if bv == 0 {
                     return Err(RunError::NullDereference);
                 }
-                let def = self.struct_of(bt).ok_or(RunError::NotAPointer)?;
-                let off = def
-                    .offset_of(field)
-                    .ok_or_else(|| RunError::UndefinedField(field.clone()))?;
-                let fty = self.sty_of(def.type_of(field));
+                let (off, fty) = self.res.field(bt, field).ok_or(RunError::NotAPointer)?;
                 let raw =
                     self.backend.load(self.machine, VirtAddr(bv as u64).add(off as u64), 8)?;
                 Ok((raw as i64, fty))
@@ -444,62 +298,68 @@ impl<'p> Interp<'p, '_, '_> {
                 Ok((v, Sty::Int))
             }
             Expr::Call { callee, args, pool_args, .. } => {
-                let func = *self
-                    .funcs
-                    .get(callee.as_str())
-                    .ok_or_else(|| RunError::UndefinedFunction(callee.clone()))?;
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args {
-                    vals.push(self.eval(a, frame)?.0);
+                let (fidx, ret_ty) = self.res.func(callee);
+                let mut callee_frame = Frame::new(&self.res.layouts[fidx as usize]);
+                for (i, a) in args.iter().enumerate() {
+                    callee_frame.vals[i] = self.eval(a, frame)?.0;
                 }
-                let mut callee_frame = Frame::default();
-                for ((pname, pty), v) in func.params.iter().zip(vals) {
-                    let key = self.intern(pname);
-                    let sty = self.sty_of(Some(pty));
-                    callee_frame.vars.insert(key.clone(), v);
-                    callee_frame.var_types.insert(key, sty);
+                for (i, actual) in pool_args.iter().enumerate() {
+                    callee_frame.pools[i] = frame.pool(actual);
                 }
-                for (formal, actual) in func.pool_params.iter().zip(pool_args) {
-                    let h = frame
-                        .pools
-                        .get(actual.as_str())
-                        .copied()
-                        .ok_or_else(|| RunError::UndefinedPool(actual.clone()))?;
-                    callee_frame.pools.insert(self.intern(formal), h);
-                }
-                let ret_ty = self.sty_of(func.ret.as_ref());
-                // As in `run`, an error path keeps the callee frame on the
-                // shadow stack so the trap report sees the full chain.
-                self.machine.telemetry_mut().push_call(callee);
-                self.machine.span_enter(callee, Category::App);
-                let flow = self.exec_block(&func.body, &mut callee_frame)?;
-                self.machine.span_exit();
-                self.machine.telemetry_mut().pop_call();
-                match flow {
-                    Flow::Returned(v) => Ok((v, ret_ty)),
-                    Flow::Normal => Ok((0, ret_ty)),
-                }
+                Ok((self.call(fidx, &mut callee_frame)?, ret_ty))
             }
         }
     }
 
-    fn resolve_pool(
-        &mut self,
-        pool: Option<&str>,
-        frame: &Frame<'p>,
-    ) -> Result<Option<PoolHandle>, RunError> {
-        match pool {
-            None => Ok(None),
-            Some(name) => frame
-                .pools
-                .get(name)
-                .copied()
-                .map(Some)
-                .ok_or_else(|| RunError::UndefinedPool(name.to_string())),
-        }
+    /// Runs function `fidx` in `frame`, returning its result (0 when the
+    /// body falls through). On an abnormal exit (trap, runtime error) the
+    /// `?` skips the pops, deliberately freezing the shadow call stack at
+    /// the faulting frame so the detector can attach it to the trap report
+    /// as use_stack.
+    fn call(&mut self, fidx: u16, frame: &mut Frame<'r, 'p>) -> Result<i64, RunError> {
+        let func = &self.funcs[fidx as usize];
+        self.machine.telemetry_mut().push_call(&func.name);
+        self.machine.span_enter(&func.name, Category::App);
+        let flow = self.exec_block(&func.body, frame)?;
+        self.machine.span_exit();
+        self.machine.telemetry_mut().pop_call();
+        Ok(match flow {
+            Flow::Returned(v) => v,
+            Flow::Normal => 0,
+        })
     }
 
-    fn exec_block(&mut self, stmts: &'p [Stmt], frame: &mut Frame<'p>) -> Result<Flow, RunError> {
+    /// Allocates `count` consecutive `struct_name` records from `pool`.
+    fn alloc(
+        &mut self,
+        struct_name: &str,
+        count: usize,
+        pool: &Option<PoolRef>,
+        unchecked: bool,
+        frame: &Frame<'r, 'p>,
+    ) -> Result<(i64, Sty<'p>), RunError> {
+        let def = self.res.struct_def(struct_name);
+        let size = def.size() * count;
+        let handle = pool.as_deref().map(|p| frame.pool(p));
+        let addr = if unchecked {
+            self.backend.alloc_unchecked(self.machine, size, handle)?
+        } else {
+            self.backend.alloc(self.machine, size, handle)?
+        };
+        // MiniC mallocs are zero-initialized (calloc semantics), so
+        // program behaviour is deterministic across backends even
+        // when the underlying allocator recycles dirty memory.
+        for i in 0..def.fields.len() * count {
+            self.backend.store(self.machine, addr.add(i as u64 * 8), 8, 0)?;
+        }
+        Ok((addr.raw() as i64, Sty::Ptr(def)))
+    }
+
+    fn exec_block(
+        &mut self,
+        stmts: &'p [Stmt],
+        frame: &mut Frame<'r, 'p>,
+    ) -> Result<Flow, RunError> {
         for s in stmts {
             if let Flow::Returned(v) = self.exec_stmt(s, frame)? {
                 return Ok(Flow::Returned(v));
@@ -508,41 +368,32 @@ impl<'p> Interp<'p, '_, '_> {
         Ok(Flow::Normal)
     }
 
-    fn exec_stmt(&mut self, s: &'p Stmt, frame: &mut Frame<'p>) -> Result<Flow, RunError> {
+    fn exec_stmt(&mut self, s: &'p Stmt, frame: &mut Frame<'r, 'p>) -> Result<Flow, RunError> {
         self.burn()?;
         match s {
-            Stmt::VarDecl { name, ty, init } => {
+            Stmt::VarDecl { name, init, .. } => {
                 let v = match init {
                     Some(e) => self.eval(e, frame)?.0,
                     None => 0,
                 };
-                let key = self.intern(name);
-                let sty = self.sty_of(Some(ty));
-                frame.vars.insert(key.clone(), v);
-                frame.var_types.insert(key, sty);
+                let (slot, _) = frame.layout.local(name).expect("declared name has a slot");
+                frame.vals[slot as usize] = v;
                 Ok(Flow::Normal)
             }
             Stmt::Assign { lhs, rhs } => {
                 let v = self.eval(rhs, frame)?.0;
                 match lhs {
-                    LValue::Var(name) => {
-                        if let Some(slot) = frame.vars.get_mut(name.as_str()) {
-                            *slot = v;
-                        } else if let Some(slot) = self.globals.vars.get_mut(name.as_str()) {
-                            *slot = v;
-                        } else {
-                            return Err(RunError::UndefinedVariable(name.clone()));
-                        }
-                    }
+                    LValue::Var(name) => match frame.layout.local(name) {
+                        Some((slot, _)) => frame.vals[slot as usize] = v,
+                        None => self.globals[self.res.global(name).0 as usize] = v,
+                    },
                     LValue::Field { base, field, .. } => {
                         let (bv, bt) = self.eval(base, frame)?;
                         if bv == 0 {
                             return Err(RunError::NullDereference);
                         }
-                        let def = self.struct_of(bt).ok_or(RunError::NotAPointer)?;
-                        let off = def
-                            .offset_of(field)
-                            .ok_or_else(|| RunError::UndefinedField(field.clone()))?;
+                        let (off, _) =
+                            self.res.field(bt, field).ok_or(RunError::NotAPointer)?;
                         self.backend.store(
                             self.machine,
                             VirtAddr(bv as u64).add(off as u64),
@@ -556,7 +407,7 @@ impl<'p> Interp<'p, '_, '_> {
             Stmt::Free { expr, pool, unchecked, .. } => {
                 let (v, _) = self.eval(expr, frame)?;
                 if v != 0 {
-                    let handle = self.resolve_pool(pool.as_deref(), frame)?;
+                    let handle = pool.as_deref().map(|p| frame.pool(p));
                     if *unchecked {
                         self.backend.free_unchecked(self.machine, VirtAddr(v as u64), handle)?;
                     } else {
@@ -602,17 +453,12 @@ impl<'p> Interp<'p, '_, '_> {
                 Ok(Flow::Normal)
             }
             Stmt::PoolInit { pool, elem_size } => {
-                let h = self.backend.pool_create(self.machine, *elem_size)?;
-                frame.pools.insert(self.intern(pool), h);
+                frame.pools[frame.layout.pool(pool) as usize] =
+                    self.backend.pool_create(self.machine, *elem_size)?;
                 Ok(Flow::Normal)
             }
             Stmt::PoolDestroy { pool } => {
-                let h = frame
-                    .pools
-                    .get(pool.as_str())
-                    .copied()
-                    .ok_or_else(|| RunError::UndefinedPool(pool.clone()))?;
-                self.backend.pool_destroy(self.machine, h)?;
+                self.backend.pool_destroy(self.machine, frame.pool(pool))?;
                 Ok(Flow::Normal)
             }
         }
@@ -719,7 +565,7 @@ mod tests {
         assert_eq!(run_native("fn f() {}"), Err(RunError::NoMain));
         assert!(matches!(
             run_native("fn main() { print(x); }"),
-            Err(RunError::UndefinedVariable(_))
+            Err(RunError::Name(_))
         ));
     }
 

@@ -1,10 +1,11 @@
 //! Engine-equivalence differential suite.
 //!
 //! The AST tree-walker is the reference semantics; the register-bytecode
-//! compiler + VM must be observationally identical on every program the
-//! AST engine executes without a name error: same output, same step
-//! count, same simulated clock (the coalesced-cost contract), same
-//! runtime errors, same detections and byte-identical trap-report JSON.
+//! compiler + VM must be observationally identical on every program: same
+//! output, same step count, same simulated clock (the coalesced-cost
+//! contract), same runtime errors, same detections and byte-identical
+//! trap-report JSON, and the same name error for a program name
+//! resolution rejects.
 //!
 //! Coverage comes from three directions: a few hundred randomly generated
 //! MiniC programs (raw and pool-transformed, on the native and
@@ -35,7 +36,7 @@ fn run_engine(
     let res = if bytecode {
         match compile(prog) {
             Ok(bc) => run_compiled(&bc, &mut machine, backend, fuel),
-            Err(e) => Err(RunError::Compile(e)),
+            Err(e) => Err(RunError::Name(e)),
         }
     } else {
         run(prog, &mut machine, backend, fuel)
@@ -252,31 +253,42 @@ fn injected_uaf_trap_reports_are_byte_identical() {
 
 #[test]
 fn compile_error_surfaces_through_engine_selector() {
+    // Name errors are static on both engines: each rejects the program
+    // with the resolver's first error before running any of it. The last
+    // three inputs break the name contract in ways a run would expose
+    // differently on each engine.
     use dangle_interp::{run_with, Engine};
-    let prog = parse("fn main() { print(nope); }").unwrap();
-    let mut backend = NativeBackend::new();
-    let err = run_with(
-        Engine::Bytecode,
-        &prog,
-        &mut Machine::free_running(),
-        &mut backend,
-        FUEL,
-    )
-    .unwrap_err();
-    assert!(
-        matches!(&err, RunError::Compile(e) if e.message == "undefined variable `nope`"),
-        "{err}"
-    );
-    // The AST engine runs the same program up to the faulting read.
-    let err = run_with(
-        Engine::Ast,
-        &prog,
-        &mut Machine::free_running(),
-        &mut backend,
-        FUEL,
-    )
-    .unwrap_err();
-    assert_eq!(err, RunError::UndefinedVariable("nope".into()));
+    for (src, message) in [
+        ("fn main() { print(nope); }", "undefined variable `nope`"),
+        (
+            "fn main() { var c: int = 0; if (c) { var x: int = 1; } print(x); }",
+            "undefined variable `x`",
+        ),
+        (
+            "struct s { v: int }
+             fn main() {
+                 var c: int = 1;
+                 if (c) { var x: int = 8; } else { var x: ptr<s> = null; }
+                 print(x->v);
+             }",
+            "`x` redeclared as `ptr<s>`, first declared `int`",
+        ),
+        (
+            "fn f(a: int) -> int { return a; } fn main() { print(f(1, 2)); }",
+            "call to `f` passes 2 value argument(s), `f` declares 1",
+        ),
+    ] {
+        let prog = parse(src).unwrap();
+        let mut outcomes = Vec::new();
+        for engine in [Engine::Ast, Engine::Bytecode] {
+            let mut machine = Machine::free_running();
+            let err = run_with(engine, &prog, &mut machine, &mut NativeBackend::new(), FUEL)
+                .unwrap_err();
+            assert!(matches!(&err, RunError::Name(e) if e.message == message), "{src}: {err}");
+            outcomes.push((err, machine.clock()));
+        }
+        assert_eq!(outcomes[0], outcomes[1], "{src}");
+    }
 }
 
 // ---- pinned disassembly ----------------------------------------------------

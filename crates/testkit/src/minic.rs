@@ -3,11 +3,12 @@
 //! Shared by the engine-equivalence suite (`dangle-interp`) and the
 //! sharded-detector differential (`tests/concurrency.rs`): every variable
 //! is declared before use and scoped lexically, every call has the
-//! declared arity, and names are never reused — the fragment on which the
-//! AST and bytecode engines promise identical behaviour (see `compile`'s
-//! documented static rejections). Programs allocate, link, mutate and
-//! free `node` records, so dangling uses and double frees arise naturally
-//! and exercise the detector backends.
+//! declared arity, and names are never reused, so every program passes
+//! name resolution (`dangle_apa::resolve`). The AST and bytecode engines
+//! agree on every resolvable program, and reject every other one with
+//! the same error. Programs allocate, link, mutate and free `node`
+//! records, so dangling uses and double frees arise naturally and
+//! exercise the detector backends.
 
 use crate::SeededRng;
 

@@ -70,7 +70,7 @@ pub use dangle_workloads as workloads;
 
 pub use dangle_core::{DanglingKind, DanglingReport, ShadowHeap, ShadowPool};
 pub use dangle_interp::{
-    compile, run, run_compiled, run_with, Backend, BackendError, BcProgram, CompileError,
-    Engine, RunError, RunOutcome,
+    compile, run, run_compiled, run_with, Backend, BackendError, BcProgram, Engine, RunError,
+    RunOutcome,
 };
 pub use dangle_vmm::{Machine, Protection, Trap, VirtAddr};
