@@ -178,21 +178,39 @@ impl DanglingReport {
 
 /// Registry from shadow pages to object records.
 ///
-/// One record per allocation; multi-page objects register every page. For
-/// the heap detector records persist forever (shadow pages are never
-/// reused); for the pool detector records are dropped when their pool is
-/// destroyed (the APA contract says no pointer can fault there any more).
+/// One record per tracked allocation; multi-page objects register every
+/// page. Each record counts the page entries pointing at it, and when the
+/// last one is forgotten — `pooldestroy` dropping the pool's pages, or the
+/// §3.4 GC/threshold recycling reclaiming a freed span — the record's slot
+/// and its call stacks go back to a free list for the next insert. Host
+/// memory therefore tracks the pages still mapped to objects, not every
+/// allocation ever made. The heap detector's records persist until §3.4
+/// recycling reclaims their pages; without recycling they persist forever,
+/// because those shadow pages are never reused.
 #[derive(Debug, Default)]
 pub struct ObjectRegistry {
-    records: Vec<ObjectRecord>,
+    slots: Vec<Slot>,
+    /// Slots whose last page entry was forgotten, reused LIFO by inserts.
+    free_slots: Vec<usize>,
     by_page: HashMap<PageNum, usize>,
-    /// Full call stacks at allocation time, parallel to `records`. Kept in
-    /// side tables so [`ObjectRecord`] stays `Copy`; empty when the program
-    /// did not run under the interpreter's shadow call stack.
-    alloc_stacks: Vec<Vec<String>>,
-    /// Full call stacks at free time, parallel to `records` (empty while
-    /// the object is live).
-    free_stacks: Vec<Vec<String>>,
+    /// Slot of the most recent insert: the target of
+    /// [`ObjectRegistry::note_alloc_stack`] and
+    /// [`ObjectRegistry::note_sampled`].
+    newest: Option<usize>,
+}
+
+/// One registry slot: a record, the number of `by_page` entries naming it,
+/// and its call stacks. The stacks live here rather than in
+/// [`ObjectRecord`] so the record stays `Copy`; they are empty when the
+/// program did not run under the interpreter's shadow call stack.
+#[derive(Debug)]
+struct Slot {
+    record: ObjectRecord,
+    pages: usize,
+    /// Full call stack at allocation time.
+    alloc_stack: Vec<String>,
+    /// Full call stack at free time (empty while the object is live).
+    free_stack: Vec<String>,
 }
 
 impl ObjectRegistry {
@@ -205,19 +223,11 @@ impl ObjectRegistry {
     /// address) and spans `size` bytes; `span` lists the shadow pages,
     /// starting with the page containing the detector's hidden word.
     pub fn insert(&mut self, base: VirtAddr, size: usize, alloc_site: SiteId, span: &[PageNum]) {
-        let idx = self.records.len();
-        self.records.push(ObjectRecord {
-            base,
-            size,
-            alloc_site,
-            state: ObjectState::Live,
-            sampled: false,
-        });
-        self.alloc_stacks.push(Vec::new());
-        self.free_stacks.push(Vec::new());
+        let idx = self.new_slot(base, size, alloc_site);
         for &p in span {
-            self.by_page.insert(p, idx);
+            self.attach(p, idx);
         }
+        self.drop_if_unreferenced(idx);
     }
 
     /// [`ObjectRegistry::insert`] for a *contiguous* run of shadow pages
@@ -231,18 +241,63 @@ impl ObjectRegistry {
         start: PageNum,
         span: usize,
     ) {
-        let idx = self.records.len();
-        self.records.push(ObjectRecord {
-            base,
-            size,
-            alloc_site,
-            state: ObjectState::Live,
-            sampled: false,
-        });
-        self.alloc_stacks.push(Vec::new());
-        self.free_stacks.push(Vec::new());
+        let idx = self.new_slot(base, size, alloc_site);
         for i in 0..span as u64 {
-            self.by_page.insert(start.add(i), idx);
+            self.attach(start.add(i), idx);
+        }
+        self.drop_if_unreferenced(idx);
+    }
+
+    /// A slot holding a fresh live record with no pages and empty stacks,
+    /// recycled from the free list when one is available.
+    fn new_slot(&mut self, base: VirtAddr, size: usize, alloc_site: SiteId) -> usize {
+        let record =
+            ObjectRecord { base, size, alloc_site, state: ObjectState::Live, sampled: false };
+        let idx = match self.free_slots.pop() {
+            Some(idx) => {
+                self.slots[idx].record = record;
+                idx
+            }
+            None => {
+                let slot =
+                    Slot { record, pages: 0, alloc_stack: Vec::new(), free_stack: Vec::new() };
+                self.slots.push(slot);
+                self.slots.len() - 1
+            }
+        };
+        self.newest = Some(idx);
+        idx
+    }
+
+    /// Points `page` at slot `idx`, releasing whatever record owned it.
+    fn attach(&mut self, page: PageNum, idx: usize) {
+        let old = self.by_page.insert(page, idx);
+        if old != Some(idx) {
+            self.slots[idx].pages += 1;
+            if let Some(old) = old {
+                self.detach(old);
+            }
+        }
+    }
+
+    /// Drops one page reference from slot `idx`, freeing the slot with its
+    /// stacks when none is left.
+    fn detach(&mut self, idx: usize) {
+        self.slots[idx].pages -= 1;
+        self.drop_if_unreferenced(idx);
+    }
+
+    /// Returns slot `idx` to the free list, dropping its stacks, once no
+    /// page entry names it.
+    fn drop_if_unreferenced(&mut self, idx: usize) {
+        let slot = &mut self.slots[idx];
+        if slot.pages == 0 {
+            slot.alloc_stack = Vec::new();
+            slot.free_stack = Vec::new();
+            self.free_slots.push(idx);
+            if self.newest == Some(idx) {
+                self.newest = None;
+            }
         }
     }
 
@@ -250,7 +305,8 @@ impl ObjectRegistry {
     /// recently inserted object. Detector alloc paths call this right
     /// after `insert`/`insert_range` when a shadow call stack is live.
     pub fn note_alloc_stack(&mut self, stack: &[String]) {
-        if let Some(slot) = self.alloc_stacks.last_mut() {
+        if let Some(idx) = self.newest {
+            let slot = &mut self.slots[idx].alloc_stack;
             slot.clear();
             slot.extend_from_slice(stack);
         }
@@ -261,15 +317,15 @@ impl ObjectRegistry {
     /// this right after `insert`/`insert_range` when the sampling policy's
     /// draw — not a deterministic rule — chose protection.
     pub fn note_sampled(&mut self, sampled: bool) {
-        if let Some(rec) = self.records.last_mut() {
-            rec.sampled = sampled;
+        if let Some(idx) = self.newest {
+            self.slots[idx].record.sampled = sampled;
         }
     }
 
     /// Marks the object at `base` freed.
     pub fn mark_freed(&mut self, base: VirtAddr, free_site: SiteId) {
         if let Some(&idx) = self.by_page.get(&base.page()) {
-            self.records[idx].state = ObjectState::Freed { free_site };
+            self.slots[idx].record.state = ObjectState::Freed { free_site };
         }
     }
 
@@ -277,31 +333,33 @@ impl ObjectRegistry {
     /// at free time.
     pub fn mark_freed_traced(&mut self, base: VirtAddr, free_site: SiteId, stack: &[String]) {
         if let Some(&idx) = self.by_page.get(&base.page()) {
-            self.records[idx].state = ObjectState::Freed { free_site };
-            let slot = &mut self.free_stacks[idx];
-            slot.clear();
-            slot.extend_from_slice(stack);
+            let slot = &mut self.slots[idx];
+            slot.record.state = ObjectState::Freed { free_site };
+            slot.free_stack.clear();
+            slot.free_stack.extend_from_slice(stack);
         }
     }
 
     /// Looks up the object owning `addr`, if any.
     pub fn lookup(&self, addr: VirtAddr) -> Option<&ObjectRecord> {
-        self.by_page.get(&addr.page()).map(|&i| &self.records[i])
+        self.by_page.get(&addr.page()).map(|&i| &self.slots[i].record)
     }
 
     /// The (alloc, free) call stacks of the object owning `addr`, if
     /// tracked. Either side is empty when no shadow call stack was live at
     /// the corresponding operation.
     pub fn stacks(&self, addr: VirtAddr) -> Option<(&[String], &[String])> {
-        self.by_page
-            .get(&addr.page())
-            .map(|&i| (self.alloc_stacks[i].as_slice(), self.free_stacks[i].as_slice()))
+        self.by_page.get(&addr.page()).map(|&i| {
+            let slot = &self.slots[i];
+            (slot.alloc_stack.as_slice(), slot.free_stack.as_slice())
+        })
     }
 
-    /// Drops the records registered for `pages` (pool destroy).
+    /// Drops the page entries for `pages` (pool destroy); untracked pages
+    /// are ignored. A record whose last page goes frees its slot.
     pub fn forget_pages(&mut self, pages: &[PageNum]) {
         for p in pages {
-            self.by_page.remove(p);
+            self.forget(*p);
         }
     }
 
@@ -309,7 +367,13 @@ impl ObjectRegistry {
     /// `start` — the recycling/GC paths drop whole spans at once.
     pub fn forget_range(&mut self, start: PageNum, span: usize) {
         for i in 0..span as u64 {
-            self.by_page.remove(&start.add(i));
+            self.forget(start.add(i));
+        }
+    }
+
+    fn forget(&mut self, page: PageNum) {
+        if let Some(idx) = self.by_page.remove(&page) {
+            self.detach(idx);
         }
     }
 
@@ -318,12 +382,19 @@ impl ObjectRegistry {
         self.by_page.len()
     }
 
+    /// Number of records still reachable from some page entry (the slots
+    /// not on the free list).
+    #[cfg(test)]
+    fn tracked_records(&self) -> usize {
+        self.slots.len() - self.free_slots.len()
+    }
+
     /// Iterates over records that are still reachable from some page entry.
     pub fn live_records(&self) -> impl Iterator<Item = &ObjectRecord> {
         let mut seen: Vec<usize> = self.by_page.values().copied().collect();
         seen.sort_unstable();
         seen.dedup();
-        seen.into_iter().map(|i| &self.records[i]).collect::<Vec<_>>().into_iter()
+        seen.into_iter().map(|i| &self.slots[i].record).collect::<Vec<_>>().into_iter()
     }
 
     /// Builds a [`DanglingReport`] for `trap` if it falls in a tracked
@@ -460,6 +531,115 @@ mod tests {
         let (alloc2, free2) = r.stacks(PageNum(8).base()).unwrap();
         assert!(alloc2.is_empty());
         assert!(free2.is_empty());
+    }
+
+    #[test]
+    fn multi_page_slot_freed_only_after_last_page() {
+        let mut r = ObjectRegistry::new();
+        let base = PageNum(30).base().add(8);
+        r.insert_range(base, 9000, SiteId(1), PageNum(30), 3);
+        r.forget_range(PageNum(30), 2);
+        assert_eq!(r.tracked_records(), 1, "one page still names the record");
+        assert_eq!(r.lookup(PageNum(32).base()).unwrap().base, base);
+        // A new object cannot take the slot while a page still names it.
+        r.insert_range(PageNum(40).base(), 8, SiteId(2), PageNum(40), 1);
+        assert_eq!(r.tracked_records(), 2);
+        assert_eq!(r.lookup(PageNum(32).base()).unwrap().alloc_site, SiteId(1));
+        r.forget_pages(&[PageNum(32)]);
+        assert_eq!(r.tracked_records(), 1);
+        // Forgetting untracked pages is a no-op.
+        r.forget_range(PageNum(30), 3);
+        assert_eq!(r.tracked_records(), 1);
+    }
+
+    #[test]
+    fn reused_slot_starts_with_empty_stacks() {
+        let mut r = ObjectRegistry::new();
+        let old = PageNum(7).base().add(8);
+        r.insert_range(old, 32, SiteId(1), PageNum(7), 1);
+        r.note_alloc_stack(&["main".to_string(), "make_node".to_string()]);
+        r.mark_freed_traced(old, SiteId(3), &["main".to_string(), "drop_node".to_string()]);
+        r.forget_range(PageNum(7), 1);
+        assert_eq!(r.tracked_records(), 0);
+
+        let new = PageNum(9).base().add(8);
+        r.insert_range(new, 16, SiteId(4), PageNum(9), 1);
+        assert_eq!(r.tracked_records(), 1, "the freed slot was reused");
+        let (alloc, free) = r.stacks(new).unwrap();
+        assert!(alloc.is_empty() && free.is_empty(), "{alloc:?} {free:?}");
+        let rec = r.lookup(new).unwrap();
+        assert_eq!((rec.size, rec.alloc_site, rec.state), (16, SiteId(4), ObjectState::Live));
+        assert!(!rec.sampled);
+    }
+
+    #[test]
+    fn notes_target_the_reused_slot() {
+        let mut r = ObjectRegistry::new();
+        // Three objects; free the middle slot, then insert into it while
+        // a later-pushed slot is still live.
+        for pg in [1u64, 2, 3] {
+            r.insert_range(PageNum(pg).base().add(8), 8, SiteId(pg as u32), PageNum(pg), 1);
+        }
+        r.forget_range(PageNum(2), 1);
+        let base = PageNum(5).base().add(8);
+        r.insert_range(base, 8, SiteId(5), PageNum(5), 1);
+        assert_eq!(r.tracked_records(), 3, "slot reused, not appended");
+        r.note_sampled(true);
+        r.note_alloc_stack(&["reuse".to_string()]);
+        assert!(r.lookup(base).unwrap().sampled);
+        assert_eq!(r.stacks(base).unwrap().0, ["reuse"]);
+        for pg in [1u64, 3] {
+            let at = PageNum(pg).base();
+            assert!(!r.lookup(at).unwrap().sampled, "page {pg} untouched");
+            assert!(r.stacks(at).unwrap().0.is_empty(), "page {pg} untouched");
+        }
+    }
+
+    #[test]
+    fn explain_after_reuse_names_the_new_object() {
+        let mut r = ObjectRegistry::new();
+        let old = PageNum(11).base().add(8);
+        r.insert_range(old, 64, SiteId(1), PageNum(11), 1);
+        r.mark_freed(old, SiteId(2));
+        r.forget_range(PageNum(11), 1);
+        // The page is recycled for a new object, which is then freed.
+        let new = PageNum(11).base().add(24);
+        r.insert_range(new, 40, SiteId(3), PageNum(11), 1);
+        r.mark_freed(new, SiteId(4));
+        let trap = Trap::Protection {
+            addr: new.add(8),
+            prot: Protection::None,
+            access: AccessKind::Read,
+        };
+        let rep = r.explain(&trap, false).unwrap();
+        assert_eq!(rep.object.base, new);
+        assert_eq!(rep.object.size, 40);
+        assert_eq!(rep.object.alloc_site, SiteId(3));
+        assert_eq!(rep.object.state, ObjectState::Freed { free_site: SiteId(4) });
+        // A live object on another reused slot still reads as live.
+        r.forget_range(PageNum(11), 1);
+        r.insert_range(PageNum(12).base().add(8), 8, SiteId(5), PageNum(12), 1);
+        let live = Trap::Protection {
+            addr: PageNum(12).base().add(8),
+            prot: Protection::None,
+            access: AccessKind::Write,
+        };
+        let rep = r.explain(&live, false).unwrap();
+        assert_eq!(rep.object.state, ObjectState::Live);
+        assert_eq!(rep.object.alloc_site, SiteId(5));
+    }
+
+    #[test]
+    fn reinserting_a_tracked_page_releases_the_old_record() {
+        let mut r = ObjectRegistry::new();
+        r.insert_range(PageNum(50).base(), 8, SiteId(1), PageNum(50), 1);
+        r.insert_range(PageNum(50).base(), 8, SiteId(2), PageNum(50), 1);
+        assert_eq!(r.tracked_records(), 1, "the displaced record's slot was freed");
+        assert_eq!(r.lookup(PageNum(50).base()).unwrap().alloc_site, SiteId(2));
+        // Duplicate pages in one span count once.
+        r.insert(PageNum(60).base(), 8, SiteId(3), &[PageNum(60), PageNum(60)]);
+        r.forget_pages(&[PageNum(60)]);
+        assert_eq!(r.tracked_records(), 1);
     }
 
     #[test]

@@ -36,6 +36,16 @@ pub struct FreedSpan {
     pub span: usize,
 }
 
+/// The §3.4 GC's bookkeeping for one live pool: created by `poolinit`,
+/// dropped whole by `pooldestroy`.
+#[derive(Debug, Default)]
+struct PoolBook {
+    /// Freed-object shadow spans (GC candidates).
+    freed: Vec<FreedSpan>,
+    /// Live objects: user address -> size. Scanned by the GC.
+    live: HashMap<VirtAddr, usize>,
+}
+
 /// Configuration of a [`ShadowPool`] (and of every shard of a
 /// [`crate::ShardedShadowPool`]).
 #[derive(Clone, Copy, Debug, Default)]
@@ -117,12 +127,8 @@ impl PageSource for PoolSet {
 #[derive(Debug)]
 pub struct ShadowPool {
     engine: ShadowEngine<PoolSet>,
-    /// Shadow pages registered per pool (for registry cleanup at destroy).
-    shadow_pages: HashMap<PoolId, Vec<PageNum>>,
-    /// Freed-object shadow spans per pool (candidates for the §3.4 GC).
-    freed: HashMap<PoolId, Vec<FreedSpan>>,
-    /// Live objects per pool: user address -> size. Scanned by the GC.
-    live: HashMap<PoolId, HashMap<VirtAddr, usize>>,
+    /// Per-pool GC bookkeeping, one entry per live pool.
+    books: HashMap<PoolId, PoolBook>,
 }
 
 impl Default for ShadowPool {
@@ -143,9 +149,7 @@ impl ShadowPool {
         let pools = PoolSet::with_config(config.pool);
         ShadowPool {
             engine: ShadowEngine::new(pools, config.batch, config.sampling),
-            shadow_pages: HashMap::new(),
-            freed: HashMap::new(),
-            live: HashMap::new(),
+            books: HashMap::new(),
         }
     }
 
@@ -154,9 +158,7 @@ impl ShadowPool {
     /// `poolinit`. See [`PoolSet::create`].
     pub fn create(&mut self, elem_hint: usize) -> PoolId {
         let id = self.engine.source.create(elem_hint);
-        self.shadow_pages.insert(id, Vec::new());
-        self.freed.insert(id, Vec::new());
-        self.live.insert(id, HashMap::new());
+        self.books.insert(id, PoolBook::default());
         id
     }
 
@@ -172,12 +174,8 @@ impl ShadowPool {
         site: SiteId,
     ) -> Result<VirtAddr, PoolError> {
         let (user, shadow) = self.engine.alloc(machine, pool, size, site)?;
-        if let Some((start, span)) = shadow {
-            self.shadow_pages
-                .entry(pool)
-                .or_default()
-                .extend((0..span as u64).map(|i| start.add(i)));
-            self.live.entry(pool).or_default().insert(user, size);
+        if shadow.is_some() {
+            self.books.entry(pool).or_default().live.insert(user, size);
         }
         Ok(user)
     }
@@ -209,8 +207,9 @@ impl ShadowPool {
         site: SiteId,
     ) -> Result<(), PoolError> {
         if let Some((base, span)) = self.engine.free(machine, pool, addr, site)? {
-            self.freed.entry(pool).or_default().push(FreedSpan { base, span });
-            self.live.entry(pool).or_default().remove(&addr);
+            let book = self.books.entry(pool).or_default();
+            book.freed.push(FreedSpan { base, span });
+            book.live.remove(&addr);
         }
         Ok(())
     }
@@ -250,11 +249,11 @@ impl ShadowPool {
             // release below already covers them.
             self.engine.forget_extents(pool);
         }
-        let shadow = self.shadow_pages.remove(&pool).unwrap_or_default();
-        self.engine.source.destroy(machine, pool)?;
-        self.engine.registry.forget_pages(&shadow);
-        self.freed.remove(&pool);
-        self.live.remove(&pool);
+        // Every shadow page the registry knows for this pool was registered
+        // with it, so the pages `pooldestroy` releases are the ones to drop.
+        let released = self.engine.source.destroy(machine, pool)?;
+        self.engine.registry.forget_pages(&released);
+        self.books.remove(&pool);
         Ok(())
     }
 
@@ -277,15 +276,15 @@ impl ShadowPool {
 
     /// Live objects of `pool` (user address and size), for the GC scan.
     pub fn live_objects(&self, pool: PoolId) -> Vec<(VirtAddr, usize)> {
-        self.live
+        self.books
             .get(&pool)
-            .map(|m| m.iter().map(|(&a, &s)| (a, s)).collect())
+            .map(|b| b.live.iter().map(|(&a, &s)| (a, s)).collect())
             .unwrap_or_default()
     }
 
     /// Freed shadow spans of `pool` — GC candidates.
     pub fn freed_spans(&self, pool: PoolId) -> Vec<FreedSpan> {
-        self.freed.get(&pool).cloned().unwrap_or_default()
+        self.books.get(&pool).map(|b| b.freed.clone()).unwrap_or_default()
     }
 
     /// Reclaims a freed shadow span of `pool` after the GC proved it
@@ -299,14 +298,10 @@ impl ShadowPool {
         if runs_overlap(&self.engine.pending_protect, span.base, span.span) {
             return 0;
         }
-        let Some(list) = self.freed.get_mut(&pool) else { return 0 };
-        let Some(pos) = list.iter().position(|&s| s == span) else { return 0 };
-        list.remove(pos);
-        let end = span.base.add(span.span as u64);
+        let Some(book) = self.books.get_mut(&pool) else { return 0 };
+        let Some(pos) = book.freed.iter().position(|&s| s == span) else { return 0 };
+        book.freed.remove(pos);
         self.engine.registry.forget_range(span.base, span.span);
-        if let Some(sp) = self.shadow_pages.get_mut(&pool) {
-            sp.retain(|&p| p < span.base || p >= end);
-        }
         let pools = &mut self.engine.source;
         for i in 0..span.span as u64 {
             let pg = span.base.add(i);

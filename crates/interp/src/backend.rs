@@ -567,7 +567,7 @@ impl Backend for PoolBackend {
         machine: &mut Machine,
         pool: PoolHandle,
     ) -> Result<(), BackendError> {
-        self.pools.destroy(machine, PoolId(pool)).map_err(from_pool)
+        self.pools.destroy(machine, PoolId(pool)).map(drop).map_err(from_pool)
     }
 
     mmu_memory_ops!();

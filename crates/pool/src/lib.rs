@@ -129,7 +129,6 @@ struct Pool {
     /// points-to graph, §3.4).
     points_to: Vec<PoolId>,
     stats: AllocStats,
-    destroyed: bool,
 }
 
 /// The pool runtime: all pools of one program plus the shared page free
@@ -152,7 +151,12 @@ struct Pool {
 /// ```
 #[derive(Debug, Default)]
 pub struct PoolSet {
-    pools: Vec<Pool>,
+    /// Indexed by pool id. A destroyed pool's entry is a `None` tombstone
+    /// (one pointer-sized word): ids are never reused, so the entry must
+    /// stay, but nothing of the dead pool needs to.
+    pools: Vec<Option<Box<Pool>>>,
+    /// Tombstones in `pools`.
+    destroyed: u64,
     /// Shared free list of virtual-page *runs*: `(base, len)`, kept
     /// **sorted by base** and fully coalesced (no two entries adjacent).
     /// Runs let multi-page canonical blocks and multi-page shadow spans
@@ -183,7 +187,7 @@ impl PoolSet {
     /// compiler inferred for the pool's points-to node (0 if unknown).
     pub fn create(&mut self, elem_hint: usize) -> PoolId {
         let id = PoolId(self.pools.len() as u32);
-        self.pools.push(Pool {
+        self.pools.push(Some(Box::new(Pool {
             elem_hint,
             classes: Default::default(),
             pages: Vec::new(),
@@ -191,21 +195,24 @@ impl PoolSet {
             large_free: Vec::new(),
             points_to: Vec::new(),
             stats: AllocStats::default(),
-            destroyed: false,
-        });
+        })));
         id
     }
 
     fn pool(&self, id: PoolId) -> Result<&Pool, PoolError> {
-        self.pools.get(id.0 as usize).ok_or(PoolError::Unknown(id))
+        match self.pools.get(id.0 as usize) {
+            Some(Some(p)) => Ok(p),
+            Some(None) => Err(PoolError::Destroyed(id)),
+            None => Err(PoolError::Unknown(id)),
+        }
     }
 
     fn pool_live(&mut self, id: PoolId) -> Result<&mut Pool, PoolError> {
-        let p = self.pools.get_mut(id.0 as usize).ok_or(PoolError::Unknown(id))?;
-        if p.destroyed {
-            return Err(PoolError::Destroyed(id));
+        match self.pools.get_mut(id.0 as usize) {
+            Some(Some(p)) => Ok(p),
+            Some(None) => Err(PoolError::Destroyed(id)),
+            None => Err(PoolError::Unknown(id)),
         }
-        Ok(p)
     }
 
     /// Pops `n` *contiguous* page numbers off the shared free list without
@@ -262,19 +269,13 @@ impl PoolSet {
         }
     }
 
-    /// Releases a set of pages: sorts, coalesces consecutive pages into
-    /// runs, and pushes the runs onto the shared free list. Returns the
-    /// number of distinct pages released.
-    fn release_pages(&mut self, mut pages: Vec<PageNum>) -> u64 {
-        if !self.config.reuse_pages || pages.is_empty() {
-            return 0;
-        }
-        pages.sort_unstable();
-        pages.dedup();
-        let released = pages.len() as u64;
-        let mut run_base = pages[0];
+    /// Releases a sorted, deduplicated set of pages: coalesces consecutive
+    /// pages into runs and pushes the runs onto the shared free list.
+    fn release_pages(&mut self, pages: &[PageNum]) {
+        let Some((&first, rest)) = pages.split_first() else { return };
+        let mut run_base = first;
         let mut run_len = 1u32;
-        for &pg in &pages[1..] {
+        for &pg in rest {
             if pg == run_base.add(run_len as u64) {
                 run_len += 1;
             } else {
@@ -284,7 +285,6 @@ impl PoolSet {
             }
         }
         self.release_run(run_base, run_len);
-        released
     }
 
     /// Obtains `n` contiguous virtual pages: recycled from the shared free
@@ -465,28 +465,43 @@ impl PoolSet {
 
     /// `pooldestroy`: releases **all** the pool's pages — canonical and
     /// registered shadow pages alike — to the shared free list (when reuse
-    /// is enabled). The pool id becomes a tombstone.
+    /// is enabled), and returns them sorted and deduplicated so the
+    /// detector can drop its diagnostics for exactly those pages.
+    ///
+    /// The pool's state is freed outright (size classes, large-run list,
+    /// stats and points-to edges); its slot becomes a one-word tombstone,
+    /// so later operations on the id report [`PoolError::Destroyed`] and
+    /// the id is never handed out again.
     ///
     /// Safety of the subsequent reuse rests on the APA contract that no
     /// pointer into this pool is live; see the [module docs](self).
     ///
     /// # Errors
     /// Pool-id errors as for [`PoolSet::alloc`].
-    pub fn destroy(&mut self, machine: &mut Machine, pool: PoolId) -> Result<(), PoolError> {
+    pub fn destroy(
+        &mut self,
+        machine: &mut Machine,
+        pool: PoolId,
+    ) -> Result<Vec<PageNum>, PoolError> {
         machine.tick(LOGIC_COST);
-        let reuse = self.config.reuse_pages;
-        let p = self.pool_live(pool)?;
-        p.destroyed = true;
-        let mut pages = std::mem::take(&mut p.pages);
-        pages.append(&mut std::mem::take(&mut p.extra_pages));
-        p.classes = Default::default();
-        p.large_free.clear();
-        let released = if reuse { self.release_pages(pages) } else { 0 };
+        self.pool_live(pool)?;
+        let p = self.pools[pool.0 as usize].take().expect("validated live above");
+        self.destroyed += 1;
+        let Pool { mut pages, mut extra_pages, .. } = *p;
+        pages.append(&mut extra_pages);
+        pages.sort_unstable();
+        pages.dedup();
+        let released = if self.config.reuse_pages {
+            self.release_pages(&pages);
+            pages.len() as u64
+        } else {
+            0
+        };
         machine.note_event(VirtAddr::NULL, EventKind::PoolDestroy);
         machine.telemetry_mut().counter_add("pool.pages_released", released);
         // Per-pool wastage series: how many pages each pool held at death.
         machine.telemetry_mut().observe("pool.pages_at_destroy", released);
-        Ok(())
+        Ok(pages)
     }
 
     /// Registers an extra (shadow) page with `pool`, to be recycled at
@@ -583,12 +598,17 @@ impl PoolSet {
         }
     }
 
-    /// The pools `pool` is known to point into.
+    /// The pools `pool` is known to point into. A destroyed pool holds no
+    /// objects, so it points nowhere.
     ///
     /// # Errors
     /// [`PoolError::Unknown`] for a bad id.
     pub fn pool_edges(&self, pool: PoolId) -> Result<&[PoolId], PoolError> {
-        Ok(&self.pool(pool)?.points_to)
+        match self.pool(pool) {
+            Ok(p) => Ok(&p.points_to),
+            Err(PoolError::Destroyed(_)) => Ok(&[]),
+            Err(e) => Err(e),
+        }
     }
 
     /// Whether `pool` has been destroyed.
@@ -596,21 +616,26 @@ impl PoolSet {
     /// # Errors
     /// [`PoolError::Unknown`] for a bad id.
     pub fn is_destroyed(&self, pool: PoolId) -> Result<bool, PoolError> {
-        Ok(self.pool(pool)?.destroyed)
+        match self.pool(pool) {
+            Ok(_) => Ok(false),
+            Err(PoolError::Destroyed(_)) => Ok(true),
+            Err(e) => Err(e),
+        }
     }
 
-    /// Allocation counters of one pool.
+    /// Allocation counters of one live pool (they go with the pool at
+    /// `pooldestroy`).
     ///
     /// # Errors
-    /// [`PoolError::Unknown`] for a bad id.
+    /// Pool-id errors as for [`PoolSet::alloc`].
     pub fn pool_stats(&self, pool: PoolId) -> Result<AllocStats, PoolError> {
         Ok(self.pool(pool)?.stats)
     }
 
-    /// The element-size hint `pool` was created with.
+    /// The element-size hint a live `pool` was created with.
     ///
     /// # Errors
-    /// [`PoolError::Unknown`] for a bad id.
+    /// Pool-id errors as for [`PoolSet::alloc`].
     pub fn elem_hint(&self, pool: PoolId) -> Result<usize, PoolError> {
         Ok(self.pool(pool)?.elem_hint)
     }
@@ -624,16 +649,20 @@ impl PoolSet {
     pub fn live_pools(&self) -> Vec<PoolId> {
         (0..self.pools.len() as u32)
             .map(PoolId)
-            .filter(|&id| !self.pools[id.0 as usize].destroyed)
+            .filter(|&id| self.pools[id.0 as usize].is_some())
             .collect()
     }
 
-    /// The canonical pages currently owned by `pool`.
+    /// The canonical pages currently owned by `pool` (none once destroyed).
     ///
     /// # Errors
     /// [`PoolError::Unknown`] for a bad id.
     pub fn pool_pages(&self, pool: PoolId) -> Result<&[PageNum], PoolError> {
-        Ok(&self.pool(pool)?.pages)
+        match self.pool(pool) {
+            Ok(p) => Ok(&p.pages),
+            Err(PoolError::Destroyed(_)) => Ok(&[]),
+            Err(e) => Err(e),
+        }
     }
 
     /// Pools ever created (tombstones included — ids are never reused).
@@ -643,7 +672,7 @@ impl PoolSet {
 
     /// Pools destroyed so far.
     pub fn pools_destroyed(&self) -> u64 {
-        self.pools.iter().filter(|p| p.destroyed).count() as u64
+        self.destroyed
     }
 
     /// The configuration this set was created with.
@@ -676,15 +705,70 @@ mod tests {
     fn operations_on_destroyed_pool_fail() {
         let (mut m, mut ps) = setup();
         let pp = ps.create(8);
+        let a = ps.alloc(&mut m, pp, 8).unwrap();
         ps.destroy(&mut m, pp).unwrap();
-        assert!(matches!(ps.alloc(&mut m, pp, 8), Err(PoolError::Destroyed(_))));
-        assert!(matches!(ps.destroy(&mut m, pp), Err(PoolError::Destroyed(_))));
+        assert_eq!(ps.alloc(&mut m, pp, 8), Err(PoolError::Destroyed(pp)));
+        assert_eq!(ps.free(&mut m, pp, a), Err(PoolError::Destroyed(pp)));
+        assert_eq!(ps.destroy(&mut m, pp), Err(PoolError::Destroyed(pp)));
+        assert_eq!(ps.register_extra_page(pp, PageNum(900)), Err(PoolError::Destroyed(pp)));
+        assert_eq!(ps.is_destroyed(pp), Ok(true));
+        assert_eq!(ps.pool_edges(pp), Ok(&[][..]), "a dead pool points nowhere");
+        assert_eq!(ps.pool_pages(pp), Ok(&[][..]));
+        assert_eq!(ps.pool_stats(pp), Err(PoolError::Destroyed(pp)));
     }
 
     #[test]
     fn unknown_pool_fails() {
         let (mut m, mut ps) = setup();
-        assert!(matches!(ps.alloc(&mut m, PoolId(9), 8), Err(PoolError::Unknown(_))));
+        let bad = PoolId(9);
+        assert_eq!(ps.alloc(&mut m, bad, 8), Err(PoolError::Unknown(bad)));
+        assert_eq!(ps.free(&mut m, bad, VirtAddr(0x10_0000)), Err(PoolError::Unknown(bad)));
+        assert_eq!(ps.destroy(&mut m, bad), Err(PoolError::Unknown(bad)));
+        assert_eq!(ps.is_destroyed(bad), Err(PoolError::Unknown(bad)));
+        assert_eq!(ps.pool_edges(bad), Err(PoolError::Unknown(bad)));
+    }
+
+    #[test]
+    fn tombstones_keep_ids_and_counts_over_many_cycles() {
+        let (mut m, mut ps) = setup();
+        let keep = ps.create(16);
+        let mut last = keep;
+        for i in 0..1_000u32 {
+            let pp = ps.create(16);
+            assert_eq!(pp, PoolId(i + 1), "ids are never reused");
+            let a = ps.alloc(&mut m, pp, 32).unwrap();
+            ps.alloc(&mut m, pp, 3 * PAGE_SIZE).unwrap();
+            ps.free(&mut m, pp, a).unwrap();
+            assert_eq!(ps.destroy(&mut m, pp).unwrap().len(), 5, "1 class page + 4-page run");
+            last = pp;
+        }
+        assert_eq!(ps.live_pools(), vec![keep]);
+        assert_eq!(ps.pools_created(), 1_001);
+        assert_eq!(ps.pools_destroyed(), 1_000);
+        assert_eq!(ps.is_destroyed(last), Ok(true));
+        assert_eq!(ps.is_destroyed(keep), Ok(false));
+        assert_eq!(ps.alloc(&mut m, PoolId(1), 8), Err(PoolError::Destroyed(PoolId(1))));
+        assert_eq!(ps.alloc(&mut m, PoolId(1_001), 8), Err(PoolError::Unknown(PoolId(1_001))));
+        assert!(ps.alloc(&mut m, keep, 8).is_ok(), "the survivor is untouched");
+        assert_eq!(
+            std::mem::size_of::<Option<Box<Pool>>>(),
+            std::mem::size_of::<usize>(),
+            "a tombstone is one word"
+        );
+    }
+
+    #[test]
+    fn destroy_returns_every_page_even_without_reuse() {
+        let mut m = Machine::free_running();
+        let mut ps = PoolSet::with_config(PoolConfig { reuse_pages: false });
+        let pp = ps.create(16);
+        let a = ps.alloc(&mut m, pp, 16).unwrap();
+        ps.register_extra_run(pp, PageNum(700), 2).unwrap();
+        ps.register_extra_page(pp, PageNum(700)).unwrap(); // duplicate
+        let pages = ps.destroy(&mut m, pp).unwrap();
+        assert_eq!(pages, vec![a.page(), PageNum(700), PageNum(701)]);
+        assert_eq!(ps.free_page_count(), 0, "nothing recycled without reuse");
+        assert_eq!(m.telemetry().counter("pool.pages_released"), 0);
     }
 
     #[test]

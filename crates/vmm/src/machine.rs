@@ -118,13 +118,14 @@ impl Default for MachineConfig {
     }
 }
 
-/// Physical frame storage: one contiguous byte arena (frame `i` occupies
-/// `i * PAGE_SIZE ..`), parallel refcounts, and a free list. A flat slab
-/// removes the `Option<Frame>` + per-frame `Vec<u8>` double indirection
-/// the hot path previously chased on every access.
+/// Physical frame storage: one exactly-sized boxed page per frame ever
+/// allocated (frame `i` is `frames[i]`), parallel refcounts, and a free
+/// list. Host bytes track the peak frame count: growth adds one 4 KiB box
+/// and an 8-byte pointer, never a capacity-doubling copy of the whole
+/// arena. Access is still one bounds check and one pointer hop.
 #[derive(Debug, Default)]
 struct FrameSlab {
-    data: Vec<u8>,
+    frames: Vec<Box<[u8; PAGE_SIZE]>>,
     refcounts: Vec<u32>,
     free: Vec<u32>,
 }
@@ -132,12 +133,17 @@ struct FrameSlab {
 impl FrameSlab {
     #[inline]
     fn frame(&self, idx: u32) -> &[u8] {
-        &self.data[idx as usize * PAGE_SIZE..(idx as usize + 1) * PAGE_SIZE]
+        &self.frames[idx as usize][..]
     }
 
     #[inline]
     fn frame_mut(&mut self, idx: u32) -> &mut [u8] {
-        &mut self.data[idx as usize * PAGE_SIZE..(idx as usize + 1) * PAGE_SIZE]
+        &mut self.frames[idx as usize][..]
+    }
+
+    /// A zeroed page straight from the allocator (no stack temporary).
+    fn zeroed_page() -> Box<[u8; PAGE_SIZE]> {
+        vec![0u8; PAGE_SIZE].into_boxed_slice().try_into().expect("exactly one page")
     }
 }
 
@@ -504,7 +510,7 @@ impl Machine {
             return Err(Trap::OutOfPhysicalMemory);
         }
         let idx = self.slab.refcounts.len() as u32;
-        self.slab.data.resize(self.slab.data.len() + PAGE_SIZE, 0);
+        self.slab.frames.push(FrameSlab::zeroed_page());
         self.slab.refcounts.push(1);
         self.note_frame_alloc();
         Ok(idx)
@@ -1645,6 +1651,24 @@ mod tests {
         assert_eq!(m.load_u64(alias).unwrap(), 0);
         // Original data still intact through the canonical page.
         assert_eq!(m.load_u64(a).unwrap(), 77);
+    }
+
+    #[test]
+    fn recycled_frame_reads_back_zero_after_mmap_fixed() {
+        let mut m = m();
+        let a = m.mmap(2).unwrap();
+        m.fill(a, 0xab, 2 * PAGE_SIZE).unwrap();
+        let dirty = m.frame_of(a).unwrap();
+        m.munmap(a, 2).unwrap();
+        assert_eq!(m.stats().phys_frames_in_use, 0);
+        // Re-mapping pops the dirty frames off the free list.
+        m.mmap_fixed(a, 2).unwrap();
+        assert_eq!(m.stats().phys_frames_in_use, 2);
+        let frames = [m.frame_of(a).unwrap(), m.frame_of(a.add(PAGE_SIZE as u64)).unwrap()];
+        assert!(frames.contains(&dirty), "the free list was reused: {frames:?}");
+        let mut buf = vec![0xffu8; 2 * PAGE_SIZE];
+        m.read_bytes(a, &mut buf).unwrap();
+        assert!(buf.iter().all(|&b| b == 0), "recycled frames are zeroed");
     }
 
     #[test]
