@@ -7,7 +7,7 @@
 //! the paper's running example and for randomized semantics-preservation
 //! testing:
 //!
-//! * [`lex`]/[`parse`]/[`ast`] — the MiniC frontend (structs, globals,
+//! * [`lex`]/[`parse`](mod@parse)/[`ast`] — the MiniC frontend (structs, globals,
 //!   functions, `malloc`/`free`, `p->f`, control flow);
 //! * [`analysis`] — unification-based points-to analysis plus the escape
 //!   analysis (reachability from arguments, globals and return values, as
@@ -17,10 +17,10 @@
 //!   `malloc`/`free` → `poolalloc`/`poolfree` rewriting;
 //! * [`pretty`] — source renderer (the transformed running example prints
 //!   exactly the shape of the paper's Figure 2);
-//! * [`resolve`] — the one name resolver: struct, function and global
+//! * [`resolve`](mod@resolve) — the one name resolver: struct, function and global
 //!   tables, per-function slot and pool-register layouts, and the name
 //!   contract the validator, the compiler and both engines share;
-//! * [`validate`] — static well-formedness checking: the resolver's name
+//! * [`validate`](mod@validate) — static well-formedness checking: the resolver's name
 //!   errors plus the structural pool rules of transformed programs
 //!   (destroy-on-every-path, annotations, unique free sites);
 //! * [`dataflow`] — **dangle-lint**: the flow-sensitive free-site safety

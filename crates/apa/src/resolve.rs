@@ -4,7 +4,7 @@
 //! [`resolve`] builds the struct, function and global tables and every
 //! function's frame [`Layout`], and checks every use of a name. The three
 //! consumers share it, so they agree on which programs are valid:
-//! [`crate::validate`] reports its errors next to the structural pool
+//! [`crate::validate()`] reports its errors next to the structural pool
 //! checks, the bytecode compiler reads slots, registers, call targets,
 //! sizes and field offsets from it, and the AST engine rejects the same
 //! programs up front and indexes its frames by the same layout.

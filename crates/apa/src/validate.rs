@@ -2,7 +2,7 @@
 //! pool-transformed.
 //!
 //! [`validate`] reports two kinds of violations. The first are name
-//! errors, found by [`crate::resolve`], the one name resolver the
+//! errors, found by [`crate::resolve()`], the one name resolver the
 //! compiler and both engines share, so a program `validate` accepts
 //! always compiles and runs the same on both engines. Its contract:
 //!

@@ -68,11 +68,7 @@ impl Allocator for EFence {
         let total = pages + usize::from(self.config.guard_page);
         let base = machine.mmap(total)?;
         if self.config.guard_page {
-            machine.mprotect(
-                base.add((pages * PAGE_SIZE) as u64),
-                1,
-                Protection::None,
-            )?;
+            machine.mprotect(&[(base.add((pages * PAGE_SIZE) as u64), 1)], Protection::None)?;
         }
         self.objects.insert(base, Object { size: requested, pages, live: true });
         self.stats.note_alloc(requested);
@@ -87,7 +83,7 @@ impl Allocator for EFence {
                 let size = obj.size;
                 // Protect forever; the frames stay pinned — Electric
                 // Fence's defining pathology.
-                machine.mprotect(addr, pages, Protection::None)?;
+                machine.mprotect(&[(addr, pages)], Protection::None)?;
                 self.stats.note_free(size);
                 Ok(())
             }

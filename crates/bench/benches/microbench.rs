@@ -92,7 +92,7 @@ fn main() {
         let mut m = Machine::new();
         let p = m.mmap(1).unwrap();
         bench("remap/mremap_alias_page", || {
-            black_box(m.mremap_alias(black_box(p), 1).unwrap());
+            black_box(m.mremap_alias(&[(black_box(p), 1)]).unwrap());
         });
     }
 }

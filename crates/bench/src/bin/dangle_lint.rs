@@ -16,7 +16,7 @@
 //! finding, then a per-site verdict table with the demotion reason and
 //! (interprocedurally) the call chain that carried the free effect, then
 //! the per-class elision decisions. A program must parse and pass name
-//! resolution ([`dangle_apa::resolve`]: every name defined, arities
+//! resolution ([`dangle_apa::resolve()`]: every name defined, arities
 //! matching, the name contract kept) before it is linted; otherwise the
 //! parse or name errors are printed instead. Exit status 1 on any
 //! `Definite*` finding, 2 on usage, parse or name errors, 0 otherwise —

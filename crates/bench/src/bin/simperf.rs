@@ -55,7 +55,7 @@ fn microbench(
     let hot = m.mmap(frames).expect("map working set");
     let mut bases = vec![hot];
     for _ in 1..views {
-        bases.push(m.mremap_alias(hot, frames).expect("alias view"));
+        bases.push(m.mremap_alias(&[(hot, frames)]).expect("alias view"));
     }
     let mut rng = Prng::new(0x51e7_f00d);
     let mut accesses = 0u64;

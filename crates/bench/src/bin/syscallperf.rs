@@ -36,31 +36,14 @@ use dangle_workloads::olden_trees::{Perimeter, TreeAdd};
 use dangle_workloads::servers::{Ftpd, GhttpdKeepAlive};
 use dangle_workloads::Workload;
 
-/// The three detector configurations compared by every row.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Mode {
-    Off,
-    Eager,
-    Epoch8,
+/// The pooled detector backend under one batching configuration.
+fn backend(batch: BatchConfig) -> ShadowPoolBackend {
+    ShadowPoolBackend::with_config(ShadowPoolConfig { batch, ..Default::default() })
 }
 
-impl Mode {
-    fn backend(self) -> ShadowPoolBackend {
-        let batch = match self {
-            Mode::Off => return ShadowPoolBackend::new(),
-            Mode::Eager => BatchConfig { enabled: true, ..Default::default() },
-            Mode::Epoch8 => {
-                BatchConfig { enabled: true, protect_epoch: Some(8), ..Default::default() }
-            }
-        };
-        ShadowPoolBackend::with_config(ShadowPoolConfig { batch, ..Default::default() })
-    }
-}
-
-/// Runs `workload` under `mode` through the shared measurement helper.
-fn run(workload: &dyn Workload, mode: Mode) -> Measurement {
-    let mut backend = mode.backend();
-    measure_backend(workload, &mut backend, MachineConfig::default())
+/// Runs `workload` under `batch` through the shared measurement helper.
+fn run(workload: &dyn Workload, batch: BatchConfig) -> Measurement {
+    measure_backend(workload, &mut backend(batch), MachineConfig::default())
 }
 
 /// The crossings the batching work targets (recycling `munmap`s are also
@@ -74,14 +57,14 @@ fn crossings(m: &Measurement) -> u64 {
 /// report. Run before any workload so both configurations see the very
 /// first allocation — the batched first-touch path is syscall-for-syscall
 /// the legacy path, so the report must match byte for byte.
-fn injected_uaf_report(mode: Mode) -> String {
+fn injected_uaf_report(batch: BatchConfig) -> String {
     let mut m = Machine::with_config(MachineConfig::default());
-    let mut b = mode.backend();
+    let mut b = backend(batch);
     let p = b.alloc(&mut m, 16, None).expect("probe alloc");
     b.store(&mut m, p, 8, 0xdead).expect("probe store");
     b.free(&mut m, p, None).expect("probe free");
     let BackendError::Trap { report, .. } = b.load(&mut m, p, 8).expect_err("must trap") else {
-        panic!("UAF not trapped under {mode:?}")
+        panic!("UAF not trapped under {batch:?}")
     };
     report.expect("trap must be attributed")
 }
@@ -90,7 +73,7 @@ fn injected_uaf_report(mode: Mode) -> String {
 /// until the epoch flushes; after 8 frees the 9th object's page must trap.
 fn epoch_still_detects_after_flush() {
     let mut m = Machine::with_config(MachineConfig::default());
-    let mut b = Mode::Epoch8.backend();
+    let mut b = backend(BatchConfig::Epoch(8));
     let objs: Vec<_> = (0..8).map(|_| b.alloc(&mut m, 16, None).expect("alloc")).collect();
     for &p in &objs {
         b.free(&mut m, p, None).expect("free");
@@ -104,8 +87,8 @@ fn main() {
     let quick = std::env::var("SYSCALLPERF_QUICK").is_ok_and(|v| !v.is_empty() && v != "0");
 
     // Detection identity first, on fresh machines (see injected_uaf_report).
-    let report_off = injected_uaf_report(Mode::Off);
-    let report_eager = injected_uaf_report(Mode::Eager);
+    let report_off = injected_uaf_report(BatchConfig::Off);
+    let report_eager = injected_uaf_report(BatchConfig::Eager);
     assert_eq!(report_off, report_eager, "batched trap report must be byte-identical");
     epoch_still_detects_after_flush();
 
@@ -140,9 +123,9 @@ fn main() {
     let (mut agg_off, mut agg_eager, mut agg_epoch) = (0u64, 0u64, 0u64);
     let (mut cyc_off, mut cyc_eager) = (0u64, 0u64);
     for w in &workloads {
-        let off = run(w.as_ref(), Mode::Off);
-        let eager = run(w.as_ref(), Mode::Eager);
-        let epoch = run(w.as_ref(), Mode::Epoch8);
+        let off = run(w.as_ref(), BatchConfig::Off);
+        let eager = run(w.as_ref(), BatchConfig::Eager);
+        let epoch = run(w.as_ref(), BatchConfig::Epoch(8));
         assert_eq!(off.checksum, eager.checksum, "{}: eager checksum", w.name());
         assert_eq!(off.checksum, epoch.checksum, "{}: epoch checksum", w.name());
         assert_eq!(off.stats.traps, eager.stats.traps, "{}: trap totals", w.name());

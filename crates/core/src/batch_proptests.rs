@@ -32,7 +32,7 @@ fn machine() -> Machine {
 }
 
 fn batched_pool() -> ShadowPool {
-    let batch = BatchConfig { enabled: true, ..BatchConfig::default() };
+    let batch = BatchConfig::Eager;
     ShadowPool::with_config(ShadowPoolConfig { batch, ..ShadowPoolConfig::default() })
 }
 
@@ -179,10 +179,7 @@ fn shadow_heap_batched_matches_legacy() {
         let mut mb = machine();
         let mut hb = ShadowHeap::with_config(
             SysHeap::new(),
-            ShadowConfig {
-                batch: BatchConfig { enabled: true, ..BatchConfig::default() },
-                ..ShadowConfig::default()
-            },
+            ShadowConfig { batch: BatchConfig::Eager, ..ShadowConfig::default() },
         );
 
         let mut objs: Vec<Obj> = Vec::new();
@@ -255,8 +252,7 @@ fn epoch_mode_converges_to_legacy_protection_map() {
         let mut ml = machine();
         let mut sl = ShadowPool::new();
         let mut mb = machine();
-        let batch =
-            BatchConfig { enabled: true, protect_epoch: Some(8), ..BatchConfig::default() };
+        let batch = BatchConfig::Epoch(8);
         let mut sb =
             ShadowPool::with_config(ShadowPoolConfig { batch, ..ShadowPoolConfig::default() });
         let pl = sl.create(16);

@@ -39,34 +39,31 @@ pub const SHADOW_WORD: usize = 8;
 /// as context.
 pub const TRAP_CONTEXT_EVENTS: usize = 16;
 
-/// Configuration of the vectored-syscall (batched) protection path, shared
-/// by [`crate::ShadowHeap`] and [`crate::ShadowPool`]. Off by default: the
-/// one-syscall-per-event path is the paper's §3.2 presentation and stays
-/// the reference that the differential tests compare against.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BatchConfig {
-    /// Master switch for the batched path (extents + coalesced protects).
-    pub enabled: bool,
-    /// Upper bound on the pages a single shadow extent pre-aliases.
-    /// Extents grow demand-proven (2, 4, 8, ... up to this cap), so a
-    /// canonical page that only ever hosts one object never pays for an
-    /// extent at all.
-    pub extent_pages: usize,
-    /// `None` (the default): the protection of every free is flushed at
-    /// the end of that very `free` call, leaving the §3.2 detection window
-    /// unchanged. `Some(n)`: §3.4-style bounded window — protections are
-    /// coalesced across up to `n` frees and applied in one vectored
-    /// `mprotect`; a dangling use between a free and its flush goes
-    /// undetected (double frees are still caught — the detector flushes
-    /// before touching a hidden word on a pending page).
-    pub protect_epoch: Option<usize>,
+/// The vectored-syscall (batched) protection path, shared by
+/// [`crate::ShadowHeap`] and [`crate::ShadowPool`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum BatchConfig {
+    /// One `mremap` per allocation and one `mprotect` per free: the
+    /// paper's §3.2 presentation, and the reference the differential tests
+    /// compare against.
+    #[default]
+    Off,
+    /// Single-page objects take their shadow page from a shadow extent,
+    /// and the protection of every free is flushed at the end of that very
+    /// `free` call, leaving the §3.2 detection window unchanged.
+    Eager,
+    /// As [`BatchConfig::Eager`], but with a §3.4-style bounded window:
+    /// protections are coalesced across up to `n` frees and applied in one
+    /// vectored `mprotect`. A dangling use between a free and its flush
+    /// goes undetected (double frees are still caught — the detector
+    /// flushes before touching a hidden word on a pending page).
+    Epoch(usize),
 }
 
-impl Default for BatchConfig {
-    fn default() -> BatchConfig {
-        BatchConfig { enabled: false, extent_pages: 16, protect_epoch: None }
-    }
-}
+/// Upper bound on the pages a single shadow extent pre-aliases. Extents
+/// grow demand-proven (2, 4, 8, ... up to this cap), so a canonical page
+/// that only ever hosts one object never pays for an extent at all.
+const EXTENT_PAGES: usize = 16;
 
 /// A bump extent of shadow pages pre-aliased to one canonical page:
 /// objects packed into the same canonical page receive adjacent shadow
@@ -84,8 +81,7 @@ struct Extent {
     /// Unconsumed pages remaining.
     left: usize,
     /// Size of the next extent built for `canon`: starts at 2 and doubles
-    /// each time an extent is fully consumed, capped at
-    /// [`BatchConfig::extent_pages`].
+    /// each time an extent is fully consumed, capped at [`EXTENT_PAGES`].
     grow: usize,
 }
 
@@ -302,13 +298,11 @@ macro_rules! front_door_methods {
         }
 
         /// Applies every pending deferred protection (see
-        /// [`BatchConfig::protect_epoch`]): one plain `mprotect` for a
-        /// single run — the same cost the legacy per-free call pays — or one
-        /// vectored `mprotect` for several. A no-op when nothing is pending;
-        /// the default eager mode calls this at the end of every free, and
-        /// `pooldestroy` always flushes first.
+        /// [`BatchConfig::Epoch`]) in one `mprotect` call. A no-op when
+        /// nothing is pending; eager mode calls this at the end of every
+        /// free, and `pooldestroy` always flushes first.
         ///
-        /// [`BatchConfig::protect_epoch`]: crate::BatchConfig::protect_epoch
+        /// [`BatchConfig::Epoch`]: crate::BatchConfig::Epoch
         pub fn flush_protects(
             &mut self,
             machine: &mut dangle_vmm::Machine,
@@ -336,7 +330,7 @@ pub(crate) struct ShadowEngine<S: PageSource> {
     /// advance different canonical pages — one extent per class keeps each
     /// stream amortising instead of thrashing.
     extents: HashMap<(S::Scope, usize), Extent>,
-    /// Protection runs deferred by [`BatchConfig::protect_epoch`], sorted
+    /// Protection runs deferred by [`BatchConfig::Epoch`], sorted
     /// and coalesced (batched mode only; empty between frees in the
     /// default eager mode). Global across scopes: `mprotect` ranges are
     /// pure VA.
@@ -416,7 +410,7 @@ impl<S: PageSource> ShadowEngine<S> {
         let canon_page = canon.page();
         // Batched mode serves single-page objects from per-class extents;
         // everything else takes one alias, recycled when possible.
-        let shadow = if self.batch.enabled && span == 1 {
+        let shadow = if self.batch != BatchConfig::Off && span == 1 {
             let class = header::class_index(total).unwrap_or(usize::MAX);
             self.extent_page(machine, scope, canon_page, class)?
         } else {
@@ -448,12 +442,12 @@ impl<S: PageSource> ShadowEngine<S> {
     ) -> Result<PageNum, S::Error> {
         let base = match self.source.take_run(span, true) {
             Some((pg, _)) => {
-                machine.alias_fixed(canon.base(), pg.base(), span)?;
+                machine.alias_fixed(&[(canon.base(), pg.base(), span)])?;
                 self.source.note_run(machine, pg.base(), span, true);
                 pg
             }
             None => {
-                let base = machine.mremap_alias(canon.base(), span)?;
+                let base = machine.mremap_alias(&[(canon.base(), span)])?;
                 self.source.note_run(machine, base, span, false);
                 base.page()
             }
@@ -464,7 +458,7 @@ impl<S: PageSource> ShadowEngine<S> {
 
     /// Batched-mode shadow page for a single-page object on `canon`:
     /// consumes the scope's extent for this size class when it matches,
-    /// re-points a stale leftover run in one vectored call, builds a new
+    /// re-points a stale leftover run in one `alias_fixed` call, builds a new
     /// extent once demand on `canon` is proven, and otherwise falls back
     /// to a plain single alias at exactly the legacy cost.
     fn extent_page(
@@ -474,7 +468,6 @@ impl<S: PageSource> ShadowEngine<S> {
         canon: PageNum,
         class: usize,
     ) -> Result<PageNum, S::Error> {
-        let cap = self.batch.extent_pages.max(2);
         let key = (scope, class);
         let (page, ext) = match self.extents.get(&key).copied() {
             // Hit: a pre-aliased page, zero syscalls.
@@ -483,22 +476,23 @@ impl<S: PageSource> ShadowEngine<S> {
                 ext.next = ext.next.add(1);
                 ext.left -= 1;
                 if ext.left == 0 {
-                    ext.grow = (ext.grow * 2).min(cap);
+                    ext.grow = (ext.grow * 2).min(EXTENT_PAGES);
                 }
                 machine.telemetry_mut().counter_add("shadow.extent_hits", 1);
                 (page, ext)
             }
             // Demand proven: a second allocation landed on `canon`.
             Some(ext) if ext.canon == canon => {
-                let (base, got) = self.build_extent(machine, scope, canon, ext.grow.clamp(2, cap))?;
+                let want = ext.grow.clamp(2, EXTENT_PAGES);
+                let (base, got) = self.build_extent(machine, scope, canon, want)?;
                 (base, Extent { canon, next: base.add(1), left: got - 1, grow: ext.grow })
             }
             // Stale leftover from another canonical page of this class:
             // re-point the whole run at `canon` — the pages are already
             // ours (and registered), so this recovers their VA for one
-            // vectored crossing.
+            // crossing.
             Some(ext) if ext.left > 0 => {
-                repoint(machine, canon, ext.next, ext.left)?;
+                machine.alias_fixed(&extent_entries(canon, ext.next, ext.left))?;
                 machine.telemetry_mut().counter_add("shadow.extent_repoints", 1);
                 let rest = Extent { next: ext.next.add(1), left: ext.left - 1, canon, ..ext };
                 (ext.next, rest)
@@ -516,9 +510,9 @@ impl<S: PageSource> ShadowEngine<S> {
     }
 
     /// Builds a `want`-page extent aliasing `canon`: a recycled run is
-    /// re-pointed with one vectored call, otherwise fresh contiguous
-    /// aliases come from one vectored `mremap`. Returns the first page and
-    /// the number of pages actually built.
+    /// re-pointed with one `alias_fixed` call, otherwise fresh contiguous
+    /// aliases come from one `mremap` call. Returns the first page and the
+    /// number of pages actually built.
     fn build_extent(
         &mut self,
         machine: &mut Machine,
@@ -528,14 +522,14 @@ impl<S: PageSource> ShadowEngine<S> {
     ) -> Result<Run, S::Error> {
         let (base, got) = match self.source.take_run(want, false) {
             Some((base, got)) => {
-                repoint(machine, canon, base, got)?;
+                machine.alias_fixed(&extent_entries(canon, base, got))?;
                 self.source.note_run(machine, base.base(), got, true);
                 (base, got)
             }
             None => {
-                let aliases = machine.mremap_alias_batch(&vec![(canon.base(), 1usize); want])?;
-                self.source.note_run(machine, aliases[0], want, false);
-                (aliases[0].page(), want)
+                let base = machine.mremap_alias(&vec![(canon.base(), 1); want])?;
+                self.source.note_run(machine, base, want, false);
+                (base.page(), want)
             }
         };
         self.source.register(scope, base, got)?;
@@ -603,14 +597,15 @@ impl<S: PageSource> ShadowEngine<S> {
         let canon_hidden = VirtAddr(canon_page + hidden.offset() as u64);
         let total = self.source.size_of(machine, canon_hidden)?;
         let span = hidden.span_pages(total);
-        if self.batch.enabled {
+        if self.batch == BatchConfig::Off {
+            machine.mprotect(&[(hidden.page().base(), span)], Protection::None)?;
+        } else {
             merge_run(&mut self.pending_protect, hidden.page(), span);
             self.pending_frees += 1;
-            if self.pending_frees >= self.batch.protect_epoch.unwrap_or(1) {
+            let epoch = if let BatchConfig::Epoch(n) = self.batch { n } else { 1 };
+            if self.pending_frees >= epoch {
                 self.flush_protects(machine)?;
             }
-        } else {
-            machine.mprotect(hidden.page().base(), span, Protection::None)?;
         }
         machine.telemetry_mut().counter_add("core.pages_protected", span as u64);
         self.source.free(machine, scope, canon_hidden)?;
@@ -651,10 +646,8 @@ impl<S: PageSource> ShadowEngine<S> {
     }
 
     /// Applies every pending deferred protection (see
-    /// [`BatchConfig::protect_epoch`]): one plain `mprotect` for a single
-    /// run — the same cost the legacy per-free call pays — or one vectored
-    /// `mprotect` for several. A no-op when nothing is pending; the
-    /// default eager mode calls this at the end of every free.
+    /// [`BatchConfig::Epoch`]) in one `mprotect` call. A no-op when nothing
+    /// is pending; eager mode calls this at the end of every free.
     pub(crate) fn flush_protects(&mut self, machine: &mut Machine) -> Result<(), Trap> {
         self.pending_frees = 0;
         if self.pending_protect.is_empty() {
@@ -668,12 +661,8 @@ impl<S: PageSource> ShadowEngine<S> {
 
     fn flush_protects_inner(&mut self, machine: &mut Machine) -> Result<(), Trap> {
         let runs = std::mem::take(&mut self.pending_protect);
-        if let [(base, span)] = runs[..] {
-            machine.mprotect(base.base(), span, Protection::None)?;
-        } else {
-            let ranges: Vec<_> = runs.iter().map(|&(b, s)| (b.base(), s)).collect();
-            machine.mprotect_batch(&ranges, Protection::None)?;
-        }
+        let ranges: Vec<_> = runs.iter().map(|&(b, s)| (b.base(), s)).collect();
+        machine.mprotect(&ranges, Protection::None)?;
         let t = machine.telemetry_mut();
         t.counter_add("shadow.protect_runs", runs.len() as u64);
         for &(_, s) in &runs {
@@ -683,17 +672,10 @@ impl<S: PageSource> ShadowEngine<S> {
     }
 }
 
-/// Points the `n` shadow pages from `base` at the canonical page `canon`:
-/// one `alias_fixed` for a single page, one vectored call otherwise.
-fn repoint(machine: &mut Machine, canon: PageNum, base: PageNum, n: usize) -> Result<(), Trap> {
-    if n == 1 {
-        machine.alias_fixed(canon.base(), base.base(), 1)?;
-    } else {
-        let entries: Vec<_> =
-            (0..n as u64).map(|i| (canon.base(), base.add(i).base(), 1usize)).collect();
-        machine.alias_fixed_batch(&entries)?;
-    }
-    Ok(())
+/// The `alias_fixed` entries pointing the `n` shadow pages from `base` at
+/// the canonical page `canon`.
+fn extent_entries(canon: PageNum, base: PageNum, n: usize) -> Vec<(VirtAddr, VirtAddr, usize)> {
+    (0..n as u64).map(|i| (canon.base(), base.add(i).base(), 1)).collect()
 }
 
 #[cfg(test)]

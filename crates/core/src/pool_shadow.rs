@@ -241,14 +241,12 @@ impl ShadowPool {
     }
 
     fn destroy_inner(&mut self, machine: &mut Machine, pool: PoolId) -> Result<(), PoolError> {
-        if self.engine.batch.enabled {
-            // Deferred protections must land before the pages they cover
-            // can be released and re-mapped to live storage.
-            self.engine.flush_protects(machine)?;
-            // Leftover extent pages were registered at build time, so the
-            // release below already covers them.
-            self.engine.forget_extents(pool);
-        }
+        // Deferred protections must land before the pages they cover can be
+        // released and re-mapped to live storage.
+        self.engine.flush_protects(machine)?;
+        // Leftover extent pages were registered at build time, so the
+        // release below already covers them.
+        self.engine.forget_extents(pool);
         // Every shadow page the registry knows for this pool was registered
         // with it, so the pages `pooldestroy` releases are the ones to drop.
         let released = self.engine.source.destroy(machine, pool)?;
@@ -512,7 +510,7 @@ mod tests {
     }
 
     fn batched_config() -> ShadowPoolConfig {
-        let batch = BatchConfig { enabled: true, ..BatchConfig::default() };
+        let batch = BatchConfig::Eager;
         ShadowPoolConfig { batch, ..ShadowPoolConfig::default() }
     }
 
@@ -600,8 +598,7 @@ mod tests {
 
     #[test]
     fn batched_epoch_defers_then_flushes() {
-        let batch =
-            BatchConfig { enabled: true, protect_epoch: Some(4), ..BatchConfig::default() };
+        let batch = BatchConfig::Epoch(4);
         let mut m = Machine::free_running();
         let mut sp = ShadowPool::with_config(ShadowPoolConfig { batch, ..Default::default() });
         let pp = sp.create(16);
@@ -627,7 +624,7 @@ mod tests {
         let (mut m, mut sp) = setup();
         let pp = sp.create(0);
         let p = sp.alloc(&mut m, pp, 10_000).unwrap();
-        m.fill(p, 0xab, 10_000).unwrap();
+        m.memset(p, 0xab, 10_000).unwrap();
         sp.free(&mut m, pp, p).unwrap();
         assert!(m.load_u8(p.add(9_000)).is_err(), "tail page protected too");
     }

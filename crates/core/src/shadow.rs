@@ -584,10 +584,7 @@ mod tests {
     }
 
     fn batched() -> (Machine, ShadowHeap) {
-        let cfg = ShadowConfig {
-            batch: BatchConfig { enabled: true, ..BatchConfig::default() },
-            ..ShadowConfig::default()
-        };
+        let cfg = ShadowConfig { batch: BatchConfig::Eager, ..ShadowConfig::default() };
         (Machine::free_running(), ShadowHeap::with_config(SysHeap::new(), cfg))
     }
 
@@ -645,14 +642,7 @@ mod tests {
 
     #[test]
     fn epoch_mode_defers_then_flushes_and_catches_double_free() {
-        let cfg = ShadowConfig {
-            batch: BatchConfig {
-                enabled: true,
-                protect_epoch: Some(4),
-                ..BatchConfig::default()
-            },
-            ..ShadowConfig::default()
-        };
+        let cfg = ShadowConfig { batch: BatchConfig::Epoch(4), ..ShadowConfig::default() };
         let mut m = Machine::free_running();
         let mut h = ShadowHeap::with_config(SysHeap::new(), cfg);
         let ptrs: Vec<_> = (0..4).map(|_| h.alloc(&mut m, 16).unwrap()).collect();
@@ -687,7 +677,7 @@ mod tests {
     fn batched_recycling_reuses_runs() {
         let cfg = ShadowConfig {
             recycle_threshold_pages: Some(20),
-            batch: BatchConfig { enabled: true, ..BatchConfig::default() },
+            batch: BatchConfig::Eager,
             ..ShadowConfig::default()
         };
         let mut m = Machine::free_running();

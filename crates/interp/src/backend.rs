@@ -1030,7 +1030,7 @@ mod tests {
     /// The three detector backends in their default, batched and sampled
     /// (N = 1) forms, plus the sharded detector at one and two shards.
     fn detector_backends() -> Vec<Box<dyn Backend>> {
-        let batch = BatchConfig { enabled: true, ..BatchConfig::default() };
+        let batch = BatchConfig::Eager;
         let sampling = SamplingConfig::one_in(1);
         let heaps = [
             ShadowConfig { batch, ..Default::default() },

@@ -4,7 +4,7 @@
 //! jump-patched labels, while tracking the coalesced burn cost of each
 //! instruction (see [`crate::bytecode`] for the cost-accounting contract
 //! that makes the two engines clock-exact). Every name was already
-//! resolved by [`dangle_apa::resolve`]; the compiler only reads the
+//! resolved by [`dangle_apa::resolve()`]; the compiler only reads the
 //! result.
 //!
 //! ## Slot resolution
@@ -23,7 +23,7 @@
 //!
 //! ## Static diagnostics
 //!
-//! [`compile`] rejects exactly the programs [`dangle_apa::resolve`]
+//! [`compile`] rejects exactly the programs [`dangle_apa::resolve()`]
 //! rejects, with its first [`ValidateError`]: undefined variables,
 //! functions, structs, fields and pool descriptors, value and pool arity
 //! mismatches, and breaches of the name contract (one type per name,
@@ -40,7 +40,7 @@ use dangle_apa::{resolve, Layout, Resolved, Sty, ValidateError};
 /// Compiles every function of `prog` to bytecode.
 ///
 /// # Errors
-/// The first name error [`dangle_apa::resolve`] finds.
+/// The first name error [`dangle_apa::resolve()`] finds.
 pub fn compile(prog: &Program) -> Result<BcProgram, ValidateError> {
     let res = resolve(prog).map_err(|mut errors| errors.swap_remove(0))?;
     let funcs = (prog.funcs.iter().zip(&res.layouts))

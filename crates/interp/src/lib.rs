@@ -15,9 +15,9 @@
 //!
 //! Two execution engines share that contract: the tree-walking AST
 //! interpreter ([`run`], [`Engine::Ast`]) and the register-bytecode
-//! compiler + VM ([`compile`] → [`run_compiled`], [`Engine::Bytecode`]),
+//! compiler + VM ([`compile()`] → [`run_compiled`], [`Engine::Bytecode`]),
 //! which lowers every name to a numeric slot ahead of time for ~10x the
-//! host throughput. Both read their names from [`dangle_apa::resolve`]
+//! host throughput. Both read their names from [`dangle_apa::resolve()`]
 //! and reject the programs it rejects, with the same error, before
 //! running. The engines are differentially tested to produce identical
 //! output, steps, simulated clock, detections and trap reports;
@@ -80,7 +80,7 @@ pub enum RunError {
     /// The fuel limit was exhausted.
     OutOfFuel,
     /// Name resolution rejected the program before execution: the first
-    /// error [`dangle_apa::resolve`] found, the same on both engines.
+    /// error [`dangle_apa::resolve()`] found, the same on both engines.
     Name(ValidateError),
 }
 
@@ -182,7 +182,7 @@ struct Interp<'r, 'p, 'm, 'b> {
 ///
 /// # Errors
 /// See [`RunError`]; memory-safety detections surface as
-/// [`RunError::Backend`], and a program [`dangle_apa::resolve`] rejects
+/// [`RunError::Backend`], and a program [`dangle_apa::resolve()`] rejects
 /// fails with [`RunError::Name`] before it runs.
 pub fn run(
     prog: &Program,

@@ -201,7 +201,7 @@ fn verify(prog: &BcProgram) -> Result<(), String> {
 /// detections, trap provenance) is identical to the AST engine's.
 ///
 /// # Panics
-/// If the program fails bytecode verification. [`crate::compile`] output
+/// If the program fails bytecode verification. [`crate::compile()`] output
 /// always verifies; only a hand-assembled [`BcProgram`] can trip this.
 pub fn run_compiled(
     prog: &BcProgram,

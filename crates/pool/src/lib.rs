@@ -292,7 +292,7 @@ impl PoolSet {
     /// `mmap` otherwise.
     fn acquire_run(&mut self, machine: &mut Machine, n: usize) -> Result<VirtAddr, PoolError> {
         if let Some(base) = self.take_free_run(n) {
-            machine.mmap_fixed(base.base(), n)?;
+            machine.mmap_fixed(&[(base.base(), n)])?;
             self.note_run(machine, base.base(), n, true);
             return Ok(base.base());
         }
@@ -832,7 +832,7 @@ mod tests {
         let p1 = ps.create(16);
         let a = ps.alloc(&mut m, p1, 16).unwrap();
         // Simulate a detector shadow page aliasing a's frame.
-        let shadow = m.mremap_alias(a, 1).unwrap();
+        let shadow = m.mremap_alias(&[(a, 1)]).unwrap();
         ps.register_extra_page(p1, shadow.page()).unwrap();
         ps.destroy(&mut m, p1).unwrap();
 
@@ -900,7 +900,7 @@ mod tests {
         let (mut m, mut ps) = setup();
         let pp = ps.create(0);
         let big = ps.alloc(&mut m, pp, 3 * PAGE_SIZE).unwrap();
-        m.fill(big, 0xee, 3 * PAGE_SIZE).unwrap();
+        m.memset(big, 0xee, 3 * PAGE_SIZE).unwrap();
         ps.free(&mut m, pp, big).unwrap();
         let again = ps.alloc(&mut m, pp, 2 * PAGE_SIZE).unwrap();
         assert_eq!(again, big, "large run reused within the pool");

@@ -12,7 +12,13 @@
 //!   pages), with reference counting ([`machine::Machine`]),
 //! * the system calls the detector needs: [`Machine::mmap`],
 //!   [`Machine::mremap_alias`] (the paper's `mremap(old, 0, len)` trick),
-//!   [`Machine::mprotect`] and [`Machine::munmap`],
+//!   [`Machine::mprotect`] and [`Machine::munmap`], plus the `MAP_FIXED`
+//!   re-mappings [`Machine::mmap_fixed`] and [`Machine::alias_fixed`].
+//!   Each range-taking call has one implementation over a slice of
+//!   `(addr, pages)` ranges: a one-range call is the paper's plain
+//!   syscall, and a call with k ≥ 2 ranges is one vectored crossing that
+//!   adds a per-range charge. Arguments are checked before anything is
+//!   charged, so a failed call leaves the machine unchanged,
 //! * an **MMU check on every access**: loads and stores through
 //!   [`Machine::load`]/[`Machine::store`] verify the protection bits and
 //!   return a [`Trap`] on violation — the simulator-friendly equivalent of a
@@ -40,14 +46,24 @@
 //! m.store_u64(a, 0xdead_beef)?;
 //!
 //! // Create a *shadow* view aliased to the same physical frames.
-//! let shadow = m.mremap_alias(a, 2)?;
+//! let shadow = m.mremap_alias(&[(a, 2)])?;
 //! assert_eq!(m.load_u64(shadow)?, 0xdead_beef);
 //!
 //! // Protect the shadow view: accesses through it now trap, while the
 //! // canonical view still works — this is the core mechanism of the paper.
-//! m.mprotect(shadow, 2, Protection::None)?;
+//! m.mprotect(&[(shadow, 2)], Protection::None)?;
 //! assert!(m.load_u64(shadow).is_err());
 //! assert_eq!(m.load_u64(a)?, 0xdead_beef);
+//!
+//! // Three one-page aliases in one vectored crossing: one contiguous run.
+//! let run = m.mremap_alias(&[(a, 1), (a, 1), (a, 1)])?;
+//! assert_eq!(m.load_u64(run.add(2 * PAGE_SIZE as u64))?, 0xdead_beef);
+//! assert_eq!(m.stats().ranges_batched, 3);
+//!
+//! // Malformed arguments are errors, never panics, and cost nothing.
+//! let clock = m.clock();
+//! assert!(m.mremap_alias(&[(a, 0)]).is_err());
+//! assert_eq!(m.clock(), clock);
 //! # Ok(())
 //! # }
 //! ```

@@ -91,7 +91,7 @@ pub struct MachineConfig {
     /// Telemetry sink configuration (event ring + metrics registry). Use
     /// [`dangle_telemetry::TelemetryConfig::disabled`] for a no-op sink.
     pub telemetry: TelemetryConfig,
-    /// Which page-table implementation backs [`Machine::translate`]. A
+    /// Which page-table implementation backs address translation. A
     /// pure host-performance knob — simulated costs, traps and stats are
     /// identical across variants (enforced by differential tests).
     pub page_table: PageTableImpl,
@@ -145,6 +145,40 @@ impl FrameSlab {
     fn zeroed_page() -> Box<[u8; PAGE_SIZE]> {
         vec![0u8; PAGE_SIZE].into_boxed_slice().try_into().expect("exactly one page")
     }
+}
+
+/// The syscall family a mapping call is counted and charged as.
+#[derive(Clone, Copy)]
+enum Family {
+    Mmap,
+    Mremap,
+    Mprotect,
+    Munmap,
+}
+
+/// Every virtual page number of `ranges`, in order.
+fn vpns(ranges: impl Iterator<Item = (VirtAddr, usize)>) -> impl Iterator<Item = u64> {
+    ranges.flat_map(|(addr, pages)| {
+        let base = addr.page().raw();
+        base..base + pages as u64
+    })
+}
+
+/// Splits a `len`-byte transfer between `a` and `b` into chunks that cross
+/// no page boundary on either side, yielding `(offset, chunk length)`. A
+/// one-sided transfer passes the same address twice.
+fn page_chunks(a: VirtAddr, b: VirtAddr, len: usize) -> impl Iterator<Item = (usize, usize)> {
+    let mut pos = 0usize;
+    std::iter::from_fn(move || {
+        if pos >= len {
+            return None;
+        }
+        let room = |s: VirtAddr| PAGE_SIZE - s.add(pos as u64).offset();
+        let chunk = room(a).min(room(b)).min(len - pos);
+        let at = pos;
+        pos += chunk;
+        Some((at, chunk))
+    })
 }
 
 /// Per-core simulated state: the clock, the TLB (whose last-hit memo is
@@ -584,58 +618,115 @@ impl Machine {
 
     // ------------------------------------------------------------------
     // System calls.
+    //
+    // `mmap_fixed`, `mremap_alias`, `alias_fixed`, `mprotect` and `munmap`
+    // each take a slice of ranges and apply all of them in ONE modelled
+    // kernel crossing, in the style of `process_madvise`/io_uring
+    // submission batches. [`Machine::enter`] holds the charging rule, so a
+    // one-range call costs exactly what the paper's one-range syscall
+    // does. Each call bumps its family counter once — so
+    // `MachineStats::total_syscalls` keeps counting crossings — and records
+    // one ring event covering the total page count.
+    //
+    // Shared semantics: an empty slice is a silent no-op (no charge, no
+    // counter, no event). Every range must be non-empty and lie inside the
+    // virtual address budget, and the ranges a call writes must be mutually
+    // disjoint (adjacent is fine). Every check runs before anything is
+    // charged or mutated, so a call failing with
+    // [`Trap::BadSyscallArgument`] or [`Trap::OutOfVirtualMemory`] leaves
+    // the machine unchanged.
     // ------------------------------------------------------------------
 
-    fn charge_syscall(&mut self, base: u64, pages: usize) {
-        self.advance(base + self.config.cost.syscall_per_page * pages as u64, Charge::Syscall);
-    }
-
-    /// One vectored kernel crossing: a single base charge, plus per-range
-    /// argument/VMA work and the usual per-page PTE work.
-    fn charge_batch_syscall(&mut self, base: u64, ranges: usize, pages: usize) {
-        self.advance(
-            base + self.config.cost.syscall_per_range * ranges as u64
-                + self.config.cost.syscall_per_page * pages as u64,
-            Charge::Syscall,
-        );
-    }
-
-    /// Validates the destination ranges of a vectored syscall: every range
-    /// must be non-empty and no two ranges may overlap (adjacent ranges are
-    /// fine). Returns the total page count. The
-    /// [`Trap::BadSyscallArgument`] carries the base of the offending range.
-    fn validate_batch_ranges(spans: &[(u64, usize)]) -> Result<usize, Trap> {
-        let mut sorted: Vec<(u64, u64)> = Vec::with_capacity(spans.len());
-        let mut total = 0usize;
-        for &(base, pages) in spans {
-            if pages == 0 {
-                return Err(Trap::BadSyscallArgument { addr: PageNum(base).base() });
+    /// Enters one kernel crossing of `family` carrying `ranges` ranges and
+    /// `pages` pages in total. A one-range call costs
+    /// `base + syscall_per_page·pages` and is a plain crossing. A call with
+    /// k ≥ 2 ranges adds `syscall_per_range·k`, adds k to
+    /// [`MachineStats::ranges_batched`] and, for `mprotect`, counts in
+    /// [`MachineStats::mprotect_batch_calls`].
+    fn enter(&mut self, family: Family, ranges: usize, pages: usize) {
+        let cost = self.config.cost;
+        let (calls, base) = match family {
+            Family::Mmap => (&mut self.stats.mmap_calls, cost.syscall_mmap),
+            Family::Mremap => (&mut self.stats.mremap_calls, cost.syscall_mremap),
+            Family::Mprotect => (&mut self.stats.mprotect_calls, cost.syscall_mprotect),
+            Family::Munmap => (&mut self.stats.munmap_calls, cost.syscall_munmap),
+        };
+        *calls += 1;
+        let mut cycles = base + cost.syscall_per_page * pages as u64;
+        if ranges >= 2 {
+            cycles += cost.syscall_per_range * ranges as u64;
+            self.stats.ranges_batched += ranges as u64;
+            if let Family::Mprotect = family {
+                self.stats.mprotect_batch_calls += 1;
             }
-            sorted.push((base, base + pages as u64));
+        }
+        self.advance(cycles, Charge::Syscall);
+    }
+
+    /// Checks the ranges of one call and returns their total page count:
+    /// every range must be non-empty and end inside the virtual address
+    /// budget, and with `disjoint` no two may overlap (adjacent is fine).
+    /// Only a call with two or more ranges allocates, to sort them.
+    fn check_ranges<I>(&self, ranges: I, disjoint: bool) -> Result<usize, Trap>
+    where
+        I: Iterator<Item = (VirtAddr, usize)> + Clone,
+    {
+        let limit = self.first_vpn + self.config.virt_pages;
+        let mut total = 0usize;
+        for (addr, pages) in ranges.clone() {
+            let end = addr.page().raw().checked_add(pages as u64);
+            if pages == 0 || end.is_none_or(|end| end > limit) {
+                return Err(Trap::BadSyscallArgument { addr });
+            }
             total += pages;
         }
-        sorted.sort_unstable();
-        for w in sorted.windows(2) {
-            if w[1].0 < w[0].1 {
+        if disjoint && ranges.clone().nth(1).is_some() {
+            let mut spans: Vec<(u64, u64)> =
+                ranges.map(|(a, p)| (a.page().raw(), a.page().raw() + p as u64)).collect();
+            spans.sort_unstable();
+            if let Some(w) = spans.windows(2).find(|w| w[1].0 < w[0].1) {
                 return Err(Trap::BadSyscallArgument { addr: PageNum(w[1].0).base() });
             }
         }
         Ok(total)
     }
 
+    /// Checks that every range of a `MAP_FIXED` call is page-aligned and
+    /// lies inside the virtual pages handed out so far. Runs after
+    /// [`Machine::check_ranges`], which bounds every page count.
+    fn check_handed_out(
+        &self,
+        mut ranges: impl Iterator<Item = (VirtAddr, usize)>,
+    ) -> Result<(), Trap> {
+        match ranges.find(|&(addr, pages)| {
+            let base = addr.page().raw();
+            addr.offset() != 0 || base < self.first_vpn || base + pages as u64 > self.next_vpn
+        }) {
+            Some((addr, _)) => Err(Trap::BadSyscallArgument { addr }),
+            None => Ok(()),
+        }
+    }
+
+    /// Checks that every page of every range is mapped.
+    fn check_mapped(&self, ranges: impl Iterator<Item = (VirtAddr, usize)>) -> Result<(), Trap> {
+        match vpns(ranges).find(|&vpn| !self.page_table.contains(vpn)) {
+            Some(vpn) => Err(Trap::BadSyscallArgument { addr: PageNum(vpn).base() }),
+            None => Ok(()),
+        }
+    }
+
     /// `mmap`: maps `pages` fresh virtual pages to fresh zeroed frames with
     /// [`Protection::ReadWrite`], returning the base address.
     ///
     /// # Errors
+    /// [`Trap::BadSyscallArgument`] if `pages` is zero;
     /// [`Trap::OutOfVirtualMemory`] or [`Trap::OutOfPhysicalMemory`] on
     /// exhaustion.
-    ///
-    /// # Panics
-    /// Panics if `pages` is zero.
     pub fn mmap(&mut self, pages: usize) -> Result<VirtAddr, Trap> {
-        assert!(pages > 0, "mmap of zero pages");
-        self.stats.mmap_calls += 1;
-        self.charge_syscall(self.config.cost.syscall_mmap, pages);
+        if pages == 0 {
+            return Err(Trap::BadSyscallArgument { addr: VirtAddr::NULL });
+        }
+        self.enter(Family::Mmap, 1, pages);
         let base = self.take_vpns(pages)?;
         for i in 0..pages as u64 {
             let frame = self.alloc_frame()?;
@@ -646,11 +737,11 @@ impl Machine {
         Ok(addr)
     }
 
-    /// `mmap(MAP_FIXED)`: re-maps `pages` existing virtual pages starting at
-    /// `addr` (page-aligned) to *fresh zeroed frames* with full access. Any
-    /// previous mapping of those pages (including aliases onto shared
-    /// frames) is replaced, and the old frames are released when their last
-    /// reference disappears.
+    /// `mmap(MAP_FIXED)`: re-maps every `(addr, pages)` range of existing
+    /// virtual pages (page-aligned) to *fresh zeroed frames* with full
+    /// access. Any previous mapping of those pages (including aliases onto
+    /// shared frames) is replaced, and the old frames are released when
+    /// their last reference disappears.
     ///
     /// This is the operation the pool runtime uses to *recycle* virtual
     /// pages from the shared free list: recycling must sever the old
@@ -658,411 +749,134 @@ impl Machine {
     /// frame.
     ///
     /// # Errors
-    /// [`Trap::BadSyscallArgument`] if `addr` is not page-aligned or the
-    /// range was never allocated; [`Trap::OutOfPhysicalMemory`] on frame
-    /// exhaustion.
-    pub fn mmap_fixed(&mut self, addr: VirtAddr, pages: usize) -> Result<(), Trap> {
-        if addr.offset() != 0 || pages == 0 {
-            return Err(Trap::BadSyscallArgument { addr });
-        }
-        let base = addr.page().raw();
-        if base < self.first_vpn || base + pages as u64 > self.next_vpn {
-            return Err(Trap::BadSyscallArgument { addr });
-        }
-        self.stats.mmap_calls += 1;
-        self.charge_syscall(self.config.cost.syscall_mmap, pages);
-        for i in 0..pages as u64 {
+    /// [`Trap::BadSyscallArgument`] if a range is unaligned, empty, was
+    /// never allocated or overlaps another; [`Trap::OutOfPhysicalMemory`]
+    /// on frame exhaustion (the one failure found after the charge).
+    pub fn mmap_fixed(&mut self, ranges: &[(VirtAddr, usize)]) -> Result<(), Trap> {
+        let Some(&(first, _)) = ranges.first() else { return Ok(()) };
+        let total = self.check_ranges(ranges.iter().copied(), true)?;
+        self.check_handed_out(ranges.iter().copied())?;
+        self.enter(Family::Mmap, ranges.len(), total);
+        for vpn in vpns(ranges.iter().copied()) {
             let frame = self.alloc_frame()?;
-            self.map_vpn(base + i, frame, Protection::ReadWrite);
-            self.tlb_invalidate_all(base + i);
+            self.map_vpn(vpn, frame, Protection::ReadWrite);
+            self.tlb_invalidate_all(vpn);
         }
         self.charge_shootdown();
-        self.note_event(addr, EventKind::Mmap { pages: pages as u32 });
+        self.note_event(first, EventKind::Mmap { pages: total as u32 });
         Ok(())
     }
 
-    /// `mremap(old, 0, len)`: the paper's §3.2 aliasing trick. Creates
-    /// `pages` *fresh* virtual pages mapped to the **same physical frames**
-    /// as the pages containing `src`, with full access, and returns the new
-    /// base address. The original mapping is untouched.
+    /// `mremap(old, 0, len)`: the paper's §3.2 aliasing trick. For every
+    /// `(src, pages)` range, creates `pages` *fresh* virtual pages mapped to
+    /// the **same physical frames** as the pages containing `src`, with
+    /// full access, and returns the base of the new run. The original
+    /// mappings are untouched. Fresh virtual pages are handed out
+    /// sequentially, so the aliases of all ranges form **one contiguous
+    /// run** in range order — which is what lets a shadow extent occupy
+    /// adjacent pages. Source ranges may repeat (aliasing one canonical
+    /// page many times is the extent use case). An empty call returns
+    /// [`VirtAddr::NULL`].
     ///
     /// # Errors
-    /// [`Trap::BadSyscallArgument`] if any source page is unmapped;
-    /// [`Trap::OutOfVirtualMemory`] on VA exhaustion.
-    ///
-    /// # Panics
-    /// Panics if `pages` is zero.
-    pub fn mremap_alias(&mut self, src: VirtAddr, pages: usize) -> Result<VirtAddr, Trap> {
-        assert!(pages > 0, "mremap of zero pages");
-        self.stats.mremap_calls += 1;
-        self.charge_syscall(self.config.cost.syscall_mremap, pages);
-        let src_base = src.page().raw();
-        // Validate the whole source range before mutating anything.
-        let mut frames = Vec::with_capacity(pages);
-        for i in 0..pages as u64 {
-            match self.page_table.get(src_base + i) {
-                Some(pte) => frames.push(pte.frame),
-                None => {
-                    return Err(Trap::BadSyscallArgument {
-                        addr: PageNum(src_base + i).base(),
-                    })
-                }
-            }
+    /// [`Trap::BadSyscallArgument`] if a range is empty or any source page
+    /// is unmapped; [`Trap::OutOfVirtualMemory`] on VA exhaustion.
+    pub fn mremap_alias(&mut self, ranges: &[(VirtAddr, usize)]) -> Result<VirtAddr, Trap> {
+        if ranges.is_empty() {
+            return Ok(VirtAddr::NULL);
         }
-        let new_base = self.take_vpns(pages)?;
-        for (i, frame) in frames.into_iter().enumerate() {
+        let total = self.check_ranges(ranges.iter().copied(), false)?;
+        self.check_mapped(ranges.iter().copied())?;
+        let base = self.take_vpns(total)?;
+        self.enter(Family::Mremap, ranges.len(), total);
+        for (vpn, src) in (base..).zip(vpns(ranges.iter().copied())) {
+            let frame = self.page_table.get(src).expect("validated above").frame;
             self.incref_frame(frame);
-            self.map_vpn(new_base + i as u64, frame, Protection::ReadWrite);
+            self.map_vpn(vpn, frame, Protection::ReadWrite);
         }
-        let addr = PageNum(new_base).base();
-        self.note_event(addr, EventKind::Mremap { pages: pages as u32 });
+        let addr = PageNum(base).base();
+        self.note_event(addr, EventKind::Mremap { pages: total as u32 });
         Ok(addr)
     }
 
-    /// `mmap(MAP_FIXED)` onto a shared region: re-maps `pages` virtual pages
-    /// starting at `dst` (page-aligned) as **aliases of the frames backing
-    /// `src`**, with full access. Used by the §3.4 "reuse shadow VA after a
-    /// threshold" mitigation, where old shadow pages are deliberately
-    /// recycled as new shadow views (giving up the detection guarantee for
-    /// pointers older than the threshold).
+    /// `mmap(MAP_FIXED)` onto a shared region: for every
+    /// `(src, dst, pages)` entry, re-maps the `pages` virtual pages at
+    /// `dst` (page-aligned) as **aliases of the frames backing `src`**,
+    /// with full access. Used by the §3.4 "reuse shadow VA after a
+    /// threshold" mitigation and by shadow extents, where old shadow pages
+    /// are deliberately recycled as new shadow views (giving up the
+    /// detection guarantee for pointers older than the recycling).
+    /// Destinations must be disjoint; sources may repeat. Pages apply in
+    /// order and each reads its source frame when it is applied, so an
+    /// entry sees what earlier entries re-mapped.
     ///
     /// # Errors
-    /// [`Trap::BadSyscallArgument`] if `dst` is unaligned or outside the
-    /// allocated VA range, or if any source page is unmapped.
-    pub fn alias_fixed(
-        &mut self,
-        src: VirtAddr,
-        dst: VirtAddr,
-        pages: usize,
-    ) -> Result<(), Trap> {
-        if dst.offset() != 0 || pages == 0 {
-            return Err(Trap::BadSyscallArgument { addr: dst });
-        }
-        let dst_base = dst.page().raw();
-        if dst_base < self.first_vpn || dst_base + pages as u64 > self.next_vpn {
-            return Err(Trap::BadSyscallArgument { addr: dst });
-        }
-        self.stats.mmap_calls += 1;
-        self.charge_syscall(self.config.cost.syscall_mmap, pages);
-        let src_base = src.page().raw();
-        let mut frames = Vec::with_capacity(pages);
-        for i in 0..pages as u64 {
-            match self.page_table.get(src_base + i) {
-                Some(pte) => frames.push(pte.frame),
-                None => {
-                    return Err(Trap::BadSyscallArgument {
-                        addr: PageNum(src_base + i).base(),
-                    })
-                }
-            }
-        }
-        for (i, frame) in frames.into_iter().enumerate() {
+    /// [`Trap::BadSyscallArgument`] if a destination is unaligned, empty,
+    /// outside the allocated VA range or overlaps another, or if any
+    /// source page is unmapped.
+    pub fn alias_fixed(&mut self, entries: &[(VirtAddr, VirtAddr, usize)]) -> Result<(), Trap> {
+        let Some(&(_, first, _)) = entries.first() else { return Ok(()) };
+        let dsts = entries.iter().map(|&(_, dst, pages)| (dst, pages));
+        let total = self.check_ranges(dsts.clone(), true)?;
+        self.check_handed_out(dsts.clone())?;
+        self.check_mapped(entries.iter().map(|&(src, _, pages)| (src, pages)))?;
+        self.enter(Family::Mmap, entries.len(), total);
+        let srcs = vpns(entries.iter().map(|&(src, _, pages)| (src, pages)));
+        for (src, dst) in srcs.zip(vpns(dsts)) {
+            let frame = self.page_table.get(src).expect("validated above").frame;
             self.incref_frame(frame);
-            self.map_vpn(dst_base + i as u64, frame, Protection::ReadWrite);
-            self.tlb_invalidate_all(dst_base + i as u64);
+            self.map_vpn(dst, frame, Protection::ReadWrite);
+            self.tlb_invalidate_all(dst);
         }
         self.charge_shootdown();
-        self.note_event(dst, EventKind::Mmap { pages: pages as u32 });
+        self.note_event(first, EventKind::Mmap { pages: total as u32 });
         Ok(())
     }
 
-    /// `mprotect`: sets the protection of `pages` pages starting at the page
-    /// containing `addr`. Invalidate the affected TLB entries (shootdown).
+    /// `mprotect`: sets the protection of every `(addr, pages)` range,
+    /// starting at the page containing `addr`, and shoots down the
+    /// affected TLB entries.
     ///
     /// # Errors
-    /// [`Trap::BadSyscallArgument`] if any page in the range is unmapped.
-    pub fn mprotect(
-        &mut self,
-        addr: VirtAddr,
-        pages: usize,
-        prot: Protection,
-    ) -> Result<(), Trap> {
-        self.stats.mprotect_calls += 1;
-        self.charge_syscall(self.config.cost.syscall_mprotect, pages);
-        let base = addr.page().raw();
-        for i in 0..pages as u64 {
-            if !self.page_table.contains(base + i) {
-                return Err(Trap::BadSyscallArgument { addr: PageNum(base + i).base() });
-            }
-        }
+    /// [`Trap::BadSyscallArgument`] if a range is empty, overlaps another
+    /// or contains an unmapped page.
+    pub fn mprotect(&mut self, ranges: &[(VirtAddr, usize)], prot: Protection) -> Result<(), Trap> {
+        let Some(&(first, _)) = ranges.first() else { return Ok(()) };
+        let total = self.check_ranges(ranges.iter().copied(), true)?;
+        self.check_mapped(ranges.iter().copied())?;
+        self.enter(Family::Mprotect, ranges.len(), total);
         self.ltc_invalidate();
-        for i in 0..pages as u64 {
-            assert!(self.page_table.set_prot(base + i, prot), "checked above");
-            self.tlb_invalidate_all(base + i);
+        for vpn in vpns(ranges.iter().copied()) {
+            assert!(self.page_table.set_prot(vpn, prot), "checked above");
+            self.tlb_invalidate_all(vpn);
         }
         self.charge_shootdown();
-        self.note_event(addr, EventKind::Mprotect { pages: pages as u32 });
+        self.note_event(first, EventKind::Mprotect { pages: total as u32 });
         Ok(())
     }
 
-    /// `munmap`: removes the mapping of `pages` pages starting at the page
-    /// containing `addr`. Unmapped pages in the range are skipped (as on
-    /// Linux). Frames are released when their last mapping disappears.
-    pub fn munmap(&mut self, addr: VirtAddr, pages: usize) -> Result<(), Trap> {
-        self.stats.munmap_calls += 1;
-        self.charge_syscall(self.config.cost.syscall_munmap, pages);
-        let base = addr.page().raw();
+    /// `munmap`: removes the mapping of every `(addr, pages)` range,
+    /// starting at the page containing `addr`. Unmapped pages in a range
+    /// are skipped (as on Linux). Frames are released when their last
+    /// mapping disappears.
+    ///
+    /// # Errors
+    /// [`Trap::BadSyscallArgument`] if a range is empty or overlaps
+    /// another.
+    pub fn munmap(&mut self, ranges: &[(VirtAddr, usize)]) -> Result<(), Trap> {
+        let Some(&(first, _)) = ranges.first() else { return Ok(()) };
+        let total = self.check_ranges(ranges.iter().copied(), true)?;
+        self.enter(Family::Munmap, ranges.len(), total);
         self.ltc_invalidate();
-        for i in 0..pages as u64 {
-            if let Some(pte) = self.page_table.remove(base + i) {
+        for vpn in vpns(ranges.iter().copied()) {
+            if let Some(pte) = self.page_table.remove(vpn) {
                 self.decref_frame(pte.frame);
-                self.tlb_invalidate_all(base + i);
+                self.tlb_invalidate_all(vpn);
                 self.stats.virt_pages_mapped -= 1;
             }
         }
         self.charge_shootdown();
-        self.note_event(addr, EventKind::Munmap { pages: pages as u32 });
-        Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Vectored (batched) system calls.
-    //
-    // Each call below applies many ranges in ONE modelled kernel crossing,
-    // in the style of `process_madvise`/io_uring submission batches: one
-    // base charge, plus `syscall_per_range` per entry and the usual
-    // `syscall_per_page` per page. Each batch bumps its family counter
-    // (`mprotect_calls`, `mmap_calls`, ...) exactly once — so
-    // `MachineStats::total_syscalls` keeps counting kernel crossings — and
-    // records exactly one family ring event covering the total page count.
-    //
-    // Shared semantics: an empty batch is a silent no-op (no charge, no
-    // counter, no event); destination ranges within one batch must be
-    // non-empty and mutually disjoint (adjacent is fine), else the whole
-    // batch fails with [`Trap::BadSyscallArgument`] *before* anything is
-    // charged or mutated.
-    // ------------------------------------------------------------------
-
-    /// Vectored `mprotect`: sets the protection of every `(addr, pages)`
-    /// range in one kernel crossing. Also counts in
-    /// [`MachineStats::mprotect_batch_calls`] and accumulates
-    /// [`MachineStats::ranges_batched`].
-    ///
-    /// # Errors
-    /// [`Trap::BadSyscallArgument`] if ranges overlap, a range is empty, or
-    /// any page in any range is unmapped — checked up front, so a failed
-    /// batch charges nothing and changes nothing.
-    pub fn mprotect_batch(
-        &mut self,
-        ranges: &[(VirtAddr, usize)],
-        prot: Protection,
-    ) -> Result<(), Trap> {
-        if ranges.is_empty() {
-            return Ok(());
-        }
-        let spans: Vec<(u64, usize)> =
-            ranges.iter().map(|&(a, p)| (a.page().raw(), p)).collect();
-        let total = Self::validate_batch_ranges(&spans)?;
-        for &(base, pages) in &spans {
-            for i in 0..pages as u64 {
-                if !self.page_table.contains(base + i) {
-                    return Err(Trap::BadSyscallArgument { addr: PageNum(base + i).base() });
-                }
-            }
-        }
-        self.stats.mprotect_calls += 1;
-        self.stats.mprotect_batch_calls += 1;
-        self.stats.ranges_batched += ranges.len() as u64;
-        self.charge_batch_syscall(self.config.cost.syscall_mprotect, ranges.len(), total);
-        self.ltc_invalidate();
-        for &(base, pages) in &spans {
-            for i in 0..pages as u64 {
-                assert!(self.page_table.set_prot(base + i, prot), "checked above");
-                self.tlb_invalidate_all(base + i);
-            }
-        }
-        self.charge_shootdown();
-        self.note_event(ranges[0].0, EventKind::Mprotect { pages: total as u32 });
-        Ok(())
-    }
-
-    /// Vectored [`Machine::mmap_fixed`]: re-maps every `(addr, pages)` range
-    /// to fresh zeroed frames in one kernel crossing.
-    ///
-    /// # Errors
-    /// [`Trap::BadSyscallArgument`] under the per-range rules of
-    /// [`Machine::mmap_fixed`] or on overlapping ranges (checked up front);
-    /// [`Trap::OutOfPhysicalMemory`] on frame exhaustion.
-    pub fn mmap_fixed_batch(&mut self, ranges: &[(VirtAddr, usize)]) -> Result<(), Trap> {
-        if ranges.is_empty() {
-            return Ok(());
-        }
-        for &(addr, pages) in ranges {
-            if addr.offset() != 0 || pages == 0 {
-                return Err(Trap::BadSyscallArgument { addr });
-            }
-            let base = addr.page().raw();
-            if base < self.first_vpn || base + pages as u64 > self.next_vpn {
-                return Err(Trap::BadSyscallArgument { addr });
-            }
-        }
-        let spans: Vec<(u64, usize)> =
-            ranges.iter().map(|&(a, p)| (a.page().raw(), p)).collect();
-        let total = Self::validate_batch_ranges(&spans)?;
-        self.stats.mmap_calls += 1;
-        self.stats.ranges_batched += ranges.len() as u64;
-        self.charge_batch_syscall(self.config.cost.syscall_mmap, ranges.len(), total);
-        for &(base, pages) in &spans {
-            for i in 0..pages as u64 {
-                let frame = self.alloc_frame()?;
-                self.map_vpn(base + i, frame, Protection::ReadWrite);
-                self.tlb_invalidate_all(base + i);
-            }
-        }
-        self.charge_shootdown();
-        self.note_event(ranges[0].0, EventKind::Mmap { pages: total as u32 });
-        Ok(())
-    }
-
-    /// Vectored [`Machine::munmap`]: removes every `(addr, pages)` range in
-    /// one kernel crossing. As for plain `munmap`, already-unmapped pages
-    /// within a range are skipped.
-    ///
-    /// # Errors
-    /// [`Trap::BadSyscallArgument`] on empty or overlapping ranges.
-    pub fn munmap_batch(&mut self, ranges: &[(VirtAddr, usize)]) -> Result<(), Trap> {
-        if ranges.is_empty() {
-            return Ok(());
-        }
-        let spans: Vec<(u64, usize)> =
-            ranges.iter().map(|&(a, p)| (a.page().raw(), p)).collect();
-        let total = Self::validate_batch_ranges(&spans)?;
-        self.stats.munmap_calls += 1;
-        self.stats.ranges_batched += ranges.len() as u64;
-        self.charge_batch_syscall(self.config.cost.syscall_munmap, ranges.len(), total);
-        self.ltc_invalidate();
-        for &(base, pages) in &spans {
-            for i in 0..pages as u64 {
-                if let Some(pte) = self.page_table.remove(base + i) {
-                    self.decref_frame(pte.frame);
-                    self.tlb_invalidate_all(base + i);
-                    self.stats.virt_pages_mapped -= 1;
-                }
-            }
-        }
-        self.charge_shootdown();
-        self.note_event(ranges[0].0, EventKind::Munmap { pages: total as u32 });
-        Ok(())
-    }
-
-    /// Vectored [`Machine::mremap_alias`]: creates a fresh shadow alias for
-    /// every `(src, pages)` range in one kernel crossing and returns the new
-    /// base addresses. Source ranges may repeat — aliasing one canonical
-    /// page many times is exactly the shadow-extent use case. Because fresh
-    /// virtual pages are handed out sequentially, the returned aliases of a
-    /// batch are **contiguous**, which is what lets a shadow extent occupy
-    /// adjacent pages.
-    ///
-    /// # Errors
-    /// [`Trap::BadSyscallArgument`] if a range is empty or any source page
-    /// is unmapped (checked up front); [`Trap::OutOfVirtualMemory`] on VA
-    /// exhaustion.
-    pub fn mremap_alias_batch(
-        &mut self,
-        ranges: &[(VirtAddr, usize)],
-    ) -> Result<Vec<VirtAddr>, Trap> {
-        if ranges.is_empty() {
-            return Ok(Vec::new());
-        }
-        let mut frames: Vec<Vec<u32>> = Vec::with_capacity(ranges.len());
-        let mut total = 0usize;
-        for &(src, pages) in ranges {
-            if pages == 0 {
-                return Err(Trap::BadSyscallArgument { addr: src });
-            }
-            let src_base = src.page().raw();
-            let mut fs = Vec::with_capacity(pages);
-            for i in 0..pages as u64 {
-                match self.page_table.get(src_base + i) {
-                    Some(pte) => fs.push(pte.frame),
-                    None => {
-                        return Err(Trap::BadSyscallArgument {
-                            addr: PageNum(src_base + i).base(),
-                        })
-                    }
-                }
-            }
-            frames.push(fs);
-            total += pages;
-        }
-        if self.next_vpn + total as u64 > self.first_vpn + self.config.virt_pages {
-            return Err(Trap::OutOfVirtualMemory);
-        }
-        self.stats.mremap_calls += 1;
-        self.stats.ranges_batched += ranges.len() as u64;
-        self.charge_batch_syscall(self.config.cost.syscall_mremap, ranges.len(), total);
-        let mut out = Vec::with_capacity(ranges.len());
-        for fs in frames {
-            let new_base = self.take_vpns(fs.len()).expect("reserved above");
-            for (i, frame) in fs.into_iter().enumerate() {
-                self.incref_frame(frame);
-                self.map_vpn(new_base + i as u64, frame, Protection::ReadWrite);
-            }
-            out.push(PageNum(new_base).base());
-        }
-        self.note_event(out[0], EventKind::Mremap { pages: total as u32 });
-        Ok(out)
-    }
-
-    /// Vectored [`Machine::alias_fixed`]: re-maps every `(src, dst, pages)`
-    /// entry as an alias of the frames backing its source, in one kernel
-    /// crossing. Destination ranges must be disjoint; sources may repeat
-    /// (re-pointing a recycled run of shadow pages at one canonical page).
-    ///
-    /// # Errors
-    /// [`Trap::BadSyscallArgument`] under the per-entry rules of
-    /// [`Machine::alias_fixed`] or on overlapping destinations — checked up
-    /// front, so a failed batch charges nothing and changes nothing.
-    pub fn alias_fixed_batch(
-        &mut self,
-        entries: &[(VirtAddr, VirtAddr, usize)],
-    ) -> Result<(), Trap> {
-        if entries.is_empty() {
-            return Ok(());
-        }
-        for &(_, dst, pages) in entries {
-            if dst.offset() != 0 || pages == 0 {
-                return Err(Trap::BadSyscallArgument { addr: dst });
-            }
-            let dst_base = dst.page().raw();
-            if dst_base < self.first_vpn || dst_base + pages as u64 > self.next_vpn {
-                return Err(Trap::BadSyscallArgument { addr: dst });
-            }
-        }
-        let spans: Vec<(u64, usize)> =
-            entries.iter().map(|&(_, d, p)| (d.page().raw(), p)).collect();
-        let total = Self::validate_batch_ranges(&spans)?;
-        for &(src, _, pages) in entries {
-            let src_base = src.page().raw();
-            for i in 0..pages as u64 {
-                if !self.page_table.contains(src_base + i) {
-                    return Err(Trap::BadSyscallArgument {
-                        addr: PageNum(src_base + i).base(),
-                    });
-                }
-            }
-        }
-        self.stats.mmap_calls += 1;
-        self.stats.ranges_batched += entries.len() as u64;
-        self.charge_batch_syscall(self.config.cost.syscall_mmap, entries.len(), total);
-        // Entries apply sequentially, re-reading source frames at apply
-        // time: an earlier entry may legally re-point a later entry's
-        // source range (re-mapping never unmaps, so the validation above
-        // stays true), and the later entry must alias the *current*
-        // frames, not a stale snapshot.
-        for &(src, dst, pages) in entries {
-            let src_base = src.page().raw();
-            let dst_base = dst.page().raw();
-            for i in 0..pages as u64 {
-                let frame =
-                    self.page_table.get(src_base + i).expect("validated above").frame;
-                self.incref_frame(frame);
-                self.map_vpn(dst_base + i, frame, Protection::ReadWrite);
-                self.tlb_invalidate_all(dst_base + i);
-            }
-        }
-        self.charge_shootdown();
-        self.note_event(entries[0].1, EventKind::Mmap { pages: total as u32 });
+        self.note_event(first, EventKind::Munmap { pages: total as u32 });
         Ok(())
     }
 
@@ -1253,6 +1067,26 @@ impl Machine {
         self.store(addr, 1, value as u64)
     }
 
+    /// One page chunk of a bulk transfer: translates `[addr, addr+len)`
+    /// (within one page) like a single access, then charges the remaining
+    /// 8-byte words of the chunk — one access per word, one translation
+    /// per chunk.
+    fn touch(
+        &mut self,
+        addr: VirtAddr,
+        len: usize,
+        access: AccessKind,
+    ) -> Result<(u32, usize), Trap> {
+        let found = self.translate(addr, len, access)?;
+        let rest = (len.div_ceil(8) as u64).saturating_sub(1);
+        self.advance(self.config.cost.mem_access * rest, Charge::Plain);
+        match access {
+            AccessKind::Read => self.stats.loads += rest,
+            AccessKind::Write => self.stats.stores += rest,
+        }
+        Ok(found)
+    }
+
     /// Reads `buf.len()` bytes starting at `addr`, charging one access per
     /// 8-byte word per page-chunk (a bulk `memcpy`-style transfer).
     ///
@@ -1260,17 +1094,9 @@ impl Machine {
     /// See [`Machine::load`]; partial reads are not performed — the
     /// destination buffer contents are unspecified on error.
     pub fn read_bytes(&mut self, addr: VirtAddr, buf: &mut [u8]) -> Result<(), Trap> {
-        let mut pos = 0usize;
-        while pos < buf.len() {
-            let a = addr.add(pos as u64);
-            let chunk = (PAGE_SIZE - a.offset()).min(buf.len() - pos);
-            let (frame, off) = self.translate(a, chunk, AccessKind::Read)?;
-            // Charge the remaining words of the chunk beyond the first.
-            let words = chunk.div_ceil(8) as u64;
-            self.advance(self.config.cost.mem_access * words.saturating_sub(1), Charge::Plain);
-            self.stats.loads += words.saturating_sub(1);
-            buf[pos..pos + chunk].copy_from_slice(&self.slab.frame(frame)[off..off + chunk]);
-            pos += chunk;
+        for (pos, len) in page_chunks(addr, addr, buf.len()) {
+            let (frame, off) = self.touch(addr.add(pos as u64), len, AccessKind::Read)?;
+            buf[pos..pos + len].copy_from_slice(&self.slab.frame(frame)[off..off + len]);
         }
         Ok(())
     }
@@ -1282,46 +1108,25 @@ impl Machine {
     /// See [`Machine::store`]; on error a prefix of the buffer may already
     /// have been written.
     pub fn write_bytes(&mut self, addr: VirtAddr, buf: &[u8]) -> Result<(), Trap> {
-        let mut pos = 0usize;
-        while pos < buf.len() {
-            let a = addr.add(pos as u64);
-            let chunk = (PAGE_SIZE - a.offset()).min(buf.len() - pos);
-            let (frame, off) = self.translate(a, chunk, AccessKind::Write)?;
-            let words = chunk.div_ceil(8) as u64;
-            self.advance(self.config.cost.mem_access * words.saturating_sub(1), Charge::Plain);
-            self.stats.stores += words.saturating_sub(1);
-            self.slab.frame_mut(frame)[off..off + chunk].copy_from_slice(&buf[pos..pos + chunk]);
-            pos += chunk;
+        for (pos, len) in page_chunks(addr, addr, buf.len()) {
+            let (frame, off) = self.touch(addr.add(pos as u64), len, AccessKind::Write)?;
+            self.slab.frame_mut(frame)[off..off + len].copy_from_slice(&buf[pos..pos + len]);
         }
         Ok(())
     }
 
-    /// Fills `len` bytes starting at `addr` with `byte` (bulk transfer).
+    /// `memset`: fills `len` bytes starting at `addr` with `byte` (bulk
+    /// transfer).
     ///
     /// # Errors
-    /// See [`Machine::store`].
-    pub fn fill(&mut self, addr: VirtAddr, byte: u8, len: usize) -> Result<(), Trap> {
-        let mut pos = 0usize;
-        while pos < len {
-            let a = addr.add(pos as u64);
-            let chunk = (PAGE_SIZE - a.offset()).min(len - pos);
-            let (frame, off) = self.translate(a, chunk, AccessKind::Write)?;
-            let words = chunk.div_ceil(8) as u64;
-            self.advance(self.config.cost.mem_access * words.saturating_sub(1), Charge::Plain);
-            self.stats.stores += words.saturating_sub(1);
-            self.slab.frame_mut(frame)[off..off + chunk].fill(byte);
-            pos += chunk;
-        }
-        Ok(())
-    }
-
-    /// `memset`: fills `len` bytes at `addr` with `byte`. Alias of
-    /// [`Machine::fill`] under the libc name the higher layers use.
-    ///
-    /// # Errors
-    /// See [`Machine::store`].
+    /// See [`Machine::store`]; on error a prefix of the range may already
+    /// have been written.
     pub fn memset(&mut self, addr: VirtAddr, byte: u8, len: usize) -> Result<(), Trap> {
-        self.fill(addr, byte, len)
+        for (pos, len) in page_chunks(addr, addr, len) {
+            let (frame, off) = self.touch(addr.add(pos as u64), len, AccessKind::Write)?;
+            self.slab.frame_mut(frame)[off..off + len].fill(byte);
+        }
+        Ok(())
     }
 
     /// `memcpy`: copies `len` bytes from `src` to `dst`, translating once
@@ -1336,22 +1141,11 @@ impl Machine {
     /// prefix of the destination may already have been written.
     pub fn copy(&mut self, dst: VirtAddr, src: VirtAddr, len: usize) -> Result<(), Trap> {
         let mut buf = [0u8; PAGE_SIZE];
-        let mut pos = 0usize;
-        while pos < len {
-            let s = src.add(pos as u64);
-            let d = dst.add(pos as u64);
-            let chunk =
-                (PAGE_SIZE - s.offset()).min(PAGE_SIZE - d.offset()).min(len - pos);
-            let words = chunk.div_ceil(8) as u64;
-            let (sf, so) = self.translate(s, chunk, AccessKind::Read)?;
-            self.advance(self.config.cost.mem_access * words.saturating_sub(1), Charge::Plain);
-            self.stats.loads += words.saturating_sub(1);
-            buf[..chunk].copy_from_slice(&self.slab.frame(sf)[so..so + chunk]);
-            let (df, doff) = self.translate(d, chunk, AccessKind::Write)?;
-            self.advance(self.config.cost.mem_access * words.saturating_sub(1), Charge::Plain);
-            self.stats.stores += words.saturating_sub(1);
-            self.slab.frame_mut(df)[doff..doff + chunk].copy_from_slice(&buf[..chunk]);
-            pos += chunk;
+        for (pos, len) in page_chunks(src, dst, len) {
+            let (sf, so) = self.touch(src.add(pos as u64), len, AccessKind::Read)?;
+            buf[..len].copy_from_slice(&self.slab.frame(sf)[so..so + len]);
+            let (df, doff) = self.touch(dst.add(pos as u64), len, AccessKind::Write)?;
+            self.slab.frame_mut(df)[doff..doff + len].copy_from_slice(&buf[..len]);
         }
         Ok(())
     }
@@ -1401,7 +1195,7 @@ mod tests {
                 m.load_u64(a.add(i * 8)).unwrap();
             }
             m.span_enter("shadow.free", Category::DetectorMetadata);
-            m.mprotect(a, 1, Protection::None).unwrap();
+            m.mprotect(&[(a, 1)], Protection::None).unwrap();
             m.span_exit();
             m.span_exit();
             m.dummy_syscall();
@@ -1464,7 +1258,7 @@ mod tests {
             m.store_u64(a, core as u64).unwrap(); // warm TLB + LTC everywhere
         }
         m.switch_core(0);
-        m.mprotect(a, 1, Protection::None).unwrap();
+        m.mprotect(&[(a, 1)], Protection::None).unwrap();
         for core in 0..8 {
             m.switch_core(core);
             let misses_before = m.tlb().misses();
@@ -1491,7 +1285,7 @@ mod tests {
         m.switch_core(3);
         assert_eq!(m.load_u64(a).unwrap(), 0xdead); // core 3 caches the PTE
         m.switch_core(0);
-        m.mmap_fixed(a, 1).unwrap(); // fresh zeroed frame, same VA
+        m.mmap_fixed(&[(a, 1)]).unwrap(); // fresh zeroed frame, same VA
         m.switch_core(3);
         assert_eq!(m.load_u64(a).unwrap(), 0, "core 3 must see the fresh frame");
     }
@@ -1503,7 +1297,7 @@ mod tests {
         let a = m.mmap(1).unwrap();
         let initiator_before = m.clock();
         let remote_before = m.core_clock(1);
-        m.mprotect(a, 1, Protection::None).unwrap();
+        m.mprotect(&[(a, 1)], Protection::None).unwrap();
         assert_eq!(
             m.clock() - initiator_before,
             cost.syscall_mprotect + cost.syscall_per_page + 3 * cost.ipi_send,
@@ -1525,8 +1319,8 @@ mod tests {
     fn single_core_never_pays_shootdowns() {
         let mut m = Machine::new();
         let a = m.mmap(2).unwrap();
-        m.mprotect(a, 2, Protection::None).unwrap();
-        m.munmap(a, 2).unwrap();
+        m.mprotect(&[(a, 2)], Protection::None).unwrap();
+        m.munmap(&[(a, 2)]).unwrap();
         assert_eq!(m.stats().shootdown_ipis, 0);
     }
 
@@ -1534,14 +1328,14 @@ mod tests {
     fn per_core_metric_labels_appear_only_on_multi_core_machines() {
         let mut single = Machine::new();
         let a = single.mmap(1).unwrap();
-        single.mprotect(a, 1, Protection::None).unwrap();
+        single.mprotect(&[(a, 1)], Protection::None).unwrap();
         let snap = single.metrics_snapshot();
         assert!(!snap.counters.iter().any(|(n, _)| n.starts_with("vmm.core")));
 
         let mut multi =
             Machine::with_config(MachineConfig { cores: 2, ..MachineConfig::default() });
         let b = multi.mmap(1).unwrap();
-        multi.mprotect(b, 1, Protection::None).unwrap();
+        multi.mprotect(&[(b, 1)], Protection::None).unwrap();
         let snap = multi.metrics_snapshot();
         for key in ["vmm.core0.clock", "vmm.core1.clock", "vmm.shootdown_ipis"] {
             assert!(snap.counters.iter().any(|(n, _)| n == key), "missing {key}");
@@ -1570,7 +1364,7 @@ mod tests {
     fn page_crossing_traps_if_second_page_protected() {
         let mut m = m();
         let a = m.mmap(2).unwrap();
-        m.mprotect(a.add(PAGE_SIZE as u64), 1, Protection::None).unwrap();
+        m.mprotect(&[(a.add(PAGE_SIZE as u64), 1)], Protection::None).unwrap();
         let cross = a.add(PAGE_SIZE as u64 - 4);
         assert!(m.store_u64(cross, 1).is_err());
     }
@@ -1580,7 +1374,7 @@ mod tests {
         let mut m = m();
         let a = m.mmap(1).unwrap();
         m.store_u64(a.add(128), 42).unwrap();
-        let alias = m.mremap_alias(a, 1).unwrap();
+        let alias = m.mremap_alias(&[(a, 1)]).unwrap();
         assert_ne!(alias.page(), a.page(), "alias must be a fresh virtual page");
         assert_eq!(m.frame_of(alias), m.frame_of(a), "but the same physical frame");
         assert_eq!(m.load_u64(alias.add(128)).unwrap(), 42);
@@ -1593,8 +1387,8 @@ mod tests {
     fn protecting_alias_leaves_canonical_usable() {
         let mut m = m();
         let a = m.mmap(1).unwrap();
-        let alias = m.mremap_alias(a, 1).unwrap();
-        m.mprotect(alias, 1, Protection::None).unwrap();
+        let alias = m.mremap_alias(&[(a, 1)]).unwrap();
+        m.mprotect(&[(alias, 1)], Protection::None).unwrap();
         assert!(m.load_u64(alias).is_err());
         m.store_u64(a, 9).unwrap();
         assert_eq!(m.load_u64(a).unwrap(), 9);
@@ -1605,7 +1399,7 @@ mod tests {
         let mut m = m();
         let a = m.mmap(1).unwrap();
         m.store_u64(a, 5).unwrap();
-        m.mprotect(a, 1, Protection::Read).unwrap();
+        m.mprotect(&[(a, 1)], Protection::Read).unwrap();
         assert_eq!(m.load_u64(a).unwrap(), 5);
         let err = m.store_u64(a, 6).unwrap_err();
         assert!(matches!(
@@ -1618,13 +1412,13 @@ mod tests {
     fn munmap_releases_frame_only_at_last_reference() {
         let mut m = m();
         let a = m.mmap(1).unwrap();
-        let alias = m.mremap_alias(a, 1).unwrap();
+        let alias = m.mremap_alias(&[(a, 1)]).unwrap();
         let frames_before = m.stats().phys_frames_in_use;
-        m.munmap(a, 1).unwrap();
+        m.munmap(&[(a, 1)]).unwrap();
         assert_eq!(m.stats().phys_frames_in_use, frames_before, "alias keeps frame live");
         assert!(m.load_u64(a).is_err(), "unmapped canonical traps");
         assert!(m.load_u64(alias).is_ok(), "alias still works");
-        m.munmap(alias, 1).unwrap();
+        m.munmap(&[(alias, 1)]).unwrap();
         assert_eq!(m.stats().phys_frames_in_use, frames_before - 1);
     }
 
@@ -1632,7 +1426,7 @@ mod tests {
     fn vpns_are_never_recycled_by_mmap() {
         let mut m = m();
         let a = m.mmap(1).unwrap();
-        m.munmap(a, 1).unwrap();
+        m.munmap(&[(a, 1)]).unwrap();
         let b = m.mmap(1).unwrap();
         assert_ne!(a.page(), b.page(), "machine must not reuse VA on its own");
     }
@@ -1643,10 +1437,10 @@ mod tests {
         let a = m.mmap(1).unwrap();
         m.store_u64(a, 77).unwrap();
         let old_frame = m.frame_of(a).unwrap();
-        let alias = m.mremap_alias(a, 1).unwrap();
+        let alias = m.mremap_alias(&[(a, 1)]).unwrap();
         // Recycle the alias page: must get a *fresh zeroed* frame, severing
         // the old aliasing.
-        m.mmap_fixed(alias, 1).unwrap();
+        m.mmap_fixed(&[(alias, 1)]).unwrap();
         assert_ne!(m.frame_of(alias).unwrap(), old_frame);
         assert_eq!(m.load_u64(alias).unwrap(), 0);
         // Original data still intact through the canonical page.
@@ -1657,12 +1451,12 @@ mod tests {
     fn recycled_frame_reads_back_zero_after_mmap_fixed() {
         let mut m = m();
         let a = m.mmap(2).unwrap();
-        m.fill(a, 0xab, 2 * PAGE_SIZE).unwrap();
+        m.memset(a, 0xab, 2 * PAGE_SIZE).unwrap();
         let dirty = m.frame_of(a).unwrap();
-        m.munmap(a, 2).unwrap();
+        m.munmap(&[(a, 2)]).unwrap();
         assert_eq!(m.stats().phys_frames_in_use, 0);
         // Re-mapping pops the dirty frames off the free list.
-        m.mmap_fixed(a, 2).unwrap();
+        m.mmap_fixed(&[(a, 2)]).unwrap();
         assert_eq!(m.stats().phys_frames_in_use, 2);
         let frames = [m.frame_of(a).unwrap(), m.frame_of(a.add(PAGE_SIZE as u64)).unwrap()];
         assert!(frames.contains(&dirty), "the free list was reused: {frames:?}");
@@ -1675,9 +1469,9 @@ mod tests {
     fn mmap_fixed_rejects_unaligned_and_foreign_ranges() {
         let mut m = m();
         let a = m.mmap(1).unwrap();
-        assert!(m.mmap_fixed(a.add(8), 1).is_err());
+        assert!(m.mmap_fixed(&[(a.add(8), 1)]).is_err());
         // A range the machine never handed out:
-        assert!(m.mmap_fixed(PageNum(1 << 30).base(), 1).is_err());
+        assert!(m.mmap_fixed(&[(PageNum(1 << 30).base(), 1)]).is_err());
     }
 
     #[test]
@@ -1685,12 +1479,12 @@ mod tests {
         let mut m = m();
         let a = m.mmap(1).unwrap();
         m.store_u64(a, 55).unwrap();
-        let old_shadow = m.mremap_alias(a, 1).unwrap();
-        m.mprotect(old_shadow, 1, Protection::None).unwrap();
+        let old_shadow = m.mremap_alias(&[(a, 1)]).unwrap();
+        m.mprotect(&[(old_shadow, 1)], Protection::None).unwrap();
         let b = m.mmap(1).unwrap();
         m.store_u64(b, 66).unwrap();
         // Recycle the protected shadow page as an alias of b.
-        m.alias_fixed(b, old_shadow, 1).unwrap();
+        m.alias_fixed(&[(b, old_shadow, 1)]).unwrap();
         assert_eq!(m.load_u64(old_shadow).unwrap(), 66);
         assert_eq!(m.frame_of(old_shadow), m.frame_of(b));
         assert_eq!(m.load_u64(a).unwrap(), 55, "a untouched");
@@ -1700,27 +1494,37 @@ mod tests {
     fn alias_fixed_rejects_bad_arguments() {
         let mut m = m();
         let a = m.mmap(1).unwrap();
-        let s = m.mremap_alias(a, 1).unwrap();
-        assert!(m.alias_fixed(a, s.add(8), 1).is_err(), "unaligned dst");
-        assert!(m.alias_fixed(a, PageNum(1 << 30).base(), 1).is_err(), "foreign dst");
-        m.munmap(a, 1).unwrap();
-        assert!(m.alias_fixed(a, s, 1).is_err(), "unmapped src");
+        let s = m.mremap_alias(&[(a, 1)]).unwrap();
+        assert!(m.alias_fixed(&[(a, s.add(8), 1)]).is_err(), "unaligned dst");
+        assert!(m.alias_fixed(&[(a, PageNum(1 << 30).base(), 1)]).is_err(), "foreign dst");
+        m.munmap(&[(a, 1)]).unwrap();
+        assert!(m.alias_fixed(&[(a, s, 1)]).is_err(), "unmapped src");
     }
 
     #[test]
     fn mremap_of_unmapped_source_fails() {
         let mut m = m();
         let a = m.mmap(1).unwrap();
-        m.munmap(a, 1).unwrap();
-        assert!(matches!(m.mremap_alias(a, 1), Err(Trap::BadSyscallArgument { .. })));
+        m.munmap(&[(a, 1)]).unwrap();
+        assert!(matches!(m.mremap_alias(&[(a, 1)]), Err(Trap::BadSyscallArgument { .. })));
     }
 
     #[test]
     fn mprotect_unmapped_fails() {
         let mut m = m();
         let a = m.mmap(1).unwrap();
-        m.munmap(a, 1).unwrap();
-        assert!(m.mprotect(a, 1, Protection::None).is_err());
+        m.munmap(&[(a, 1)]).unwrap();
+        assert!(m.mprotect(&[(a, 1)], Protection::None).is_err());
+    }
+
+    #[test]
+    fn mmap_of_zero_pages_is_a_bad_argument() {
+        let mut m = Machine::new();
+        let clock = m.clock();
+        let err = m.mmap(0).unwrap_err();
+        assert_eq!(err, Trap::BadSyscallArgument { addr: VirtAddr::NULL });
+        assert_eq!(m.clock(), clock, "nothing charged");
+        assert_eq!(*m.stats(), MachineStats::default(), "nothing counted");
     }
 
     #[test]
@@ -1755,7 +1559,7 @@ mod tests {
         });
         let a = m.mmap(1).unwrap();
         for _ in 0..100 {
-            m.mremap_alias(a, 1).unwrap();
+            m.mremap_alias(&[(a, 1)]).unwrap();
         }
         assert_eq!(m.stats().phys_frames_in_use, 1);
     }
@@ -1772,10 +1576,10 @@ mod tests {
     }
 
     #[test]
-    fn fill_sets_range() {
+    fn memset_sets_range() {
         let mut m = m();
         let a = m.mmap(2).unwrap();
-        m.fill(a.add(4090), 0xcc, 20).unwrap();
+        m.memset(a.add(4090), 0xcc, 20).unwrap();
         for i in 0..20 {
             assert_eq!(m.load_u8(a.add(4090 + i)).unwrap(), 0xcc);
         }
@@ -1784,7 +1588,7 @@ mod tests {
     }
 
     #[test]
-    fn memset_is_fill_and_respects_page_boundaries() {
+    fn memset_respects_page_boundaries() {
         let mut m = m();
         let a = m.mmap(2).unwrap();
         m.memset(a.add(PAGE_SIZE as u64 - 3), 0xab, 6).unwrap();
@@ -1799,7 +1603,7 @@ mod tests {
     fn memset_traps_on_protected_second_page_after_writing_first() {
         let mut m = m();
         let a = m.mmap(2).unwrap();
-        m.mprotect(a.add(PAGE_SIZE as u64), 1, Protection::None).unwrap();
+        m.mprotect(&[(a.add(PAGE_SIZE as u64), 1)], Protection::None).unwrap();
         let start = a.add(PAGE_SIZE as u64 - 8);
         let err = m.memset(start, 0xcc, 16).unwrap_err();
         assert!(matches!(err, Trap::Protection { .. }));
@@ -1841,10 +1645,10 @@ mod tests {
         let mut m = m();
         let src = m.mmap(1).unwrap();
         let dst = m.mmap(1).unwrap();
-        m.mprotect(src, 1, Protection::None).unwrap();
+        m.mprotect(&[(src, 1)], Protection::None).unwrap();
         assert!(matches!(m.copy(dst, src, 8), Err(Trap::Protection { .. })));
-        m.mprotect(src, 1, Protection::ReadWrite).unwrap();
-        m.mprotect(dst, 1, Protection::Read).unwrap();
+        m.mprotect(&[(src, 1)], Protection::ReadWrite).unwrap();
+        m.mprotect(&[(dst, 1)], Protection::Read).unwrap();
         assert!(matches!(m.copy(dst, src, 8), Err(Trap::Protection { .. })));
     }
 
@@ -1876,10 +1680,10 @@ mod tests {
             let a = m.mmap(2).unwrap();
             m.store_u64(a, 1).unwrap();
             m.store_u64(a, 2).unwrap(); // LTC hit on the radix machine
-            let s = m.mremap_alias(a, 2).unwrap();
-            m.mprotect(s, 2, Protection::None).unwrap();
+            let s = m.mremap_alias(&[(a, 2)]).unwrap();
+            m.mprotect(&[(s, 2)], Protection::None).unwrap();
             assert!(m.load_u64(s).is_err());
-            m.munmap(a, 2).unwrap();
+            m.munmap(&[(a, 2)]).unwrap();
             assert!(m.load_u64(a).is_err());
         }
         assert_eq!(r.clock(), x.clock());
@@ -1924,7 +1728,7 @@ mod tests {
         let mut m = m();
         let a = m.mmap(1).unwrap();
         m.store_u64(a, 0xfeed).unwrap();
-        m.munmap(a, 1).unwrap();
+        m.munmap(&[(a, 1)]).unwrap();
         let b = m.mmap(1).unwrap();
         // b reuses a's frame (the only free one) but must read as zero.
         assert_eq!(m.load_u64(b).unwrap(), 0);
@@ -1949,20 +1753,20 @@ mod tests {
         let a = m.mmap(4).unwrap();
         assert_eq!(m.stats().virt_pages_mapped, 4);
         assert_eq!(m.stats().virt_pages_mapped_peak, 4);
-        m.munmap(a, 2).unwrap();
+        m.munmap(&[(a, 2)]).unwrap();
         assert_eq!(m.stats().virt_pages_mapped, 2);
         assert_eq!(m.stats().virt_pages_mapped_peak, 4);
         assert_eq!(m.virt_pages_consumed(), 4);
     }
 
     #[test]
-    fn mprotect_batch_applies_all_ranges_in_one_crossing() {
+    fn mprotect_applies_all_ranges_in_one_crossing() {
         let mut m = m();
         let a = m.mmap(1).unwrap();
-        let s1 = m.mremap_alias(a, 1).unwrap();
-        let s2 = m.mremap_alias(a, 1).unwrap();
+        let s1 = m.mremap_alias(&[(a, 1)]).unwrap();
+        let s2 = m.mremap_alias(&[(a, 1)]).unwrap();
         let calls = m.stats().mprotect_calls;
-        m.mprotect_batch(&[(s1, 1), (s2, 1)], Protection::None).unwrap();
+        m.mprotect(&[(s1, 1), (s2, 1)], Protection::None).unwrap();
         assert_eq!(m.stats().mprotect_calls, calls + 1, "one crossing");
         assert_eq!(m.stats().mprotect_batch_calls, 1);
         assert_eq!(m.stats().ranges_batched, 2);
@@ -1975,11 +1779,11 @@ mod tests {
     fn batch_cost_is_one_base_plus_per_range_and_per_page() {
         let mut m = Machine::new(); // calibrated costs
         let a = m.mmap(4).unwrap();
-        let s1 = m.mremap_alias(a, 2).unwrap();
-        let s2 = m.mremap_alias(a, 3).unwrap();
+        let s1 = m.mremap_alias(&[(a, 2)]).unwrap();
+        let s2 = m.mremap_alias(&[(a, 3)]).unwrap();
         let c = CostModel::calibrated();
         let c0 = m.clock();
-        m.mprotect_batch(&[(s1, 2), (s2, 3)], Protection::None).unwrap();
+        m.mprotect(&[(s1, 2), (s2, 3)], Protection::None).unwrap();
         assert_eq!(
             m.clock() - c0,
             c.syscall_mprotect + 2 * c.syscall_per_range + 5 * c.syscall_per_page
@@ -1987,78 +1791,76 @@ mod tests {
     }
 
     #[test]
-    fn empty_batches_are_silent_noops() {
+    fn empty_calls_are_silent_noops() {
         let mut m = Machine::new();
         let clock = m.clock();
         let stats = *m.stats();
-        m.mprotect_batch(&[], Protection::None).unwrap();
-        m.mmap_fixed_batch(&[]).unwrap();
-        m.munmap_batch(&[]).unwrap();
-        m.alias_fixed_batch(&[]).unwrap();
-        assert!(m.mremap_alias_batch(&[]).unwrap().is_empty());
+        m.mprotect(&[], Protection::None).unwrap();
+        m.mmap_fixed(&[]).unwrap();
+        m.munmap(&[]).unwrap();
+        m.alias_fixed(&[]).unwrap();
+        assert_eq!(m.mremap_alias(&[]).unwrap(), VirtAddr::NULL);
         assert_eq!(m.clock(), clock, "no charge");
         assert_eq!(*m.stats(), stats, "no counters");
         assert_eq!(m.telemetry().ring().total_recorded(), 0, "no events");
     }
 
     #[test]
-    fn adjacent_batch_ranges_are_legal() {
+    fn adjacent_ranges_are_legal() {
         let mut m = m();
         let a = m.mmap(1).unwrap();
-        let s = m.mremap_alias(a, 1).unwrap();
-        let t = m.mremap_alias(a, 1).unwrap();
+        let s = m.mremap_alias(&[(a, 1)]).unwrap();
+        let t = m.mremap_alias(&[(a, 1)]).unwrap();
         assert_eq!(t.page().raw(), s.page().raw() + 1, "aliases are sequential");
-        m.mprotect_batch(&[(s, 1), (t, 1)], Protection::None).unwrap();
+        m.mprotect(&[(s, 1), (t, 1)], Protection::None).unwrap();
         assert!(m.load_u64(s).is_err());
         assert!(m.load_u64(t).is_err());
     }
 
     #[test]
-    fn overlapping_batch_ranges_trap_without_side_effects() {
+    fn overlapping_ranges_trap_without_side_effects() {
         let mut m = Machine::new();
         let a = m.mmap(4).unwrap();
         let clock = m.clock();
         let stats = *m.stats();
-        let err = m
-            .mprotect_batch(&[(a, 3), (a.add(2 * PAGE_SIZE as u64), 2)], Protection::None)
-            .unwrap_err();
+        let err =
+            m.mprotect(&[(a, 3), (a.add(2 * PAGE_SIZE as u64), 2)], Protection::None).unwrap_err();
         assert!(matches!(err, Trap::BadSyscallArgument { .. }));
-        let err = m.mprotect_batch(&[(a, 0)], Protection::None).unwrap_err();
+        let err = m.mprotect(&[(a, 0)], Protection::None).unwrap_err();
         assert!(matches!(err, Trap::BadSyscallArgument { .. }), "empty range");
-        let err = m.munmap_batch(&[(a, 2), (a.add(PAGE_SIZE as u64), 1)]).unwrap_err();
+        let err = m.munmap(&[(a, 2), (a.add(PAGE_SIZE as u64), 1)]).unwrap_err();
         assert!(matches!(err, Trap::BadSyscallArgument { .. }));
-        assert_eq!(m.clock(), clock, "failed batches charge nothing");
-        assert_eq!(*m.stats(), stats, "failed batches count nothing");
+        assert_eq!(m.clock(), clock, "failed calls charge nothing");
+        assert_eq!(*m.stats(), stats, "failed calls count nothing");
         assert_eq!(m.protection(a), Some(Protection::ReadWrite), "nothing applied");
     }
 
     #[test]
-    fn mremap_alias_batch_returns_contiguous_aliases() {
+    fn mremap_alias_returns_one_contiguous_run() {
         let mut m = m();
         let a = m.mmap(1).unwrap();
         m.store_u64(a, 99).unwrap();
         let calls = m.stats().mremap_calls;
-        let out = m.mremap_alias_batch(&[(a, 1), (a, 1), (a, 1)]).unwrap();
+        let base = m.mremap_alias(&[(a, 1), (a, 1), (a, 1)]).unwrap();
         assert_eq!(m.stats().mremap_calls, calls + 1, "one crossing");
         assert_eq!(m.stats().ranges_batched, 3);
-        assert_eq!(out.len(), 3);
-        for w in out.windows(2) {
-            assert_eq!(w[1].page().raw(), w[0].page().raw() + 1, "contiguous extent");
-        }
-        for s in &out {
-            assert_eq!(m.load_u64(*s).unwrap(), 99);
-            assert_eq!(m.frame_of(*s), m.frame_of(a));
+        assert_eq!(m.next_vpn, base.page().raw() + 3, "contiguous extent");
+        for i in 0..3 {
+            let s = base.add(i * PAGE_SIZE as u64);
+            assert_eq!(m.load_u64(s).unwrap(), 99);
+            assert_eq!(m.frame_of(s), m.frame_of(a));
         }
     }
 
     #[test]
-    fn mmap_fixed_batch_severs_aliasing_per_range() {
+    fn mmap_fixed_severs_aliasing_per_range() {
         let mut m = m();
         let a = m.mmap(1).unwrap();
         m.store_u64(a, 13).unwrap();
-        let out = m.mremap_alias_batch(&[(a, 1), (a, 1)]).unwrap();
+        let base = m.mremap_alias(&[(a, 1), (a, 1)]).unwrap();
+        let out = [base, base.add(PAGE_SIZE as u64)];
         let calls = m.stats().mmap_calls;
-        m.mmap_fixed_batch(&[(out[0], 1), (out[1], 1)]).unwrap();
+        m.mmap_fixed(&[(out[0], 1), (out[1], 1)]).unwrap();
         assert_eq!(m.stats().mmap_calls, calls + 1, "one crossing");
         for s in &out {
             assert_ne!(m.frame_of(*s), m.frame_of(a), "fresh frame");
@@ -2068,16 +1870,17 @@ mod tests {
     }
 
     #[test]
-    fn alias_fixed_batch_repoints_a_run_at_one_canonical_page() {
+    fn alias_fixed_repoints_a_run_at_one_canonical_page() {
         let mut m = m();
         let a = m.mmap(1).unwrap();
         m.store_u64(a, 55).unwrap();
-        let run = m.mremap_alias_batch(&[(a, 1), (a, 1)]).unwrap();
-        m.mprotect_batch(&[(run[0], 2)], Protection::None).unwrap();
+        let base = m.mremap_alias(&[(a, 1), (a, 1)]).unwrap();
+        let run = [base, base.add(PAGE_SIZE as u64)];
+        m.mprotect(&[(run[0], 2)], Protection::None).unwrap();
         let b = m.mmap(1).unwrap();
         m.store_u64(b, 66).unwrap();
         // Re-point the whole recycled run at b in one crossing.
-        m.alias_fixed_batch(&[(b, run[0], 1), (b, run[1], 1)]).unwrap();
+        m.alias_fixed(&[(b, run[0], 1), (b, run[1], 1)]).unwrap();
         assert_eq!(m.load_u64(run[0]).unwrap(), 66);
         assert_eq!(m.load_u64(run[1]).unwrap(), 66);
         assert_eq!(m.frame_of(run[0]), m.frame_of(b));
@@ -2085,12 +1888,12 @@ mod tests {
     }
 
     #[test]
-    fn munmap_batch_releases_every_range() {
+    fn munmap_releases_every_range() {
         let mut m = m();
         let a = m.mmap(2).unwrap();
         let b = m.mmap(3).unwrap();
         let mapped = m.stats().virt_pages_mapped;
-        m.munmap_batch(&[(a, 2), (b, 3)]).unwrap();
+        m.munmap(&[(a, 2), (b, 3)]).unwrap();
         assert_eq!(m.stats().virt_pages_mapped, mapped - 5);
         assert!(m.load_u64(a).is_err());
         assert!(m.load_u64(b).is_err());
@@ -2100,7 +1903,7 @@ mod tests {
     fn trap_on_protected_page_counts_in_stats() {
         let mut m = m();
         let a = m.mmap(1).unwrap();
-        m.mprotect(a, 1, Protection::None).unwrap();
+        m.mprotect(&[(a, 1)], Protection::None).unwrap();
         let _ = m.load_u64(a);
         let _ = m.store_u64(a, 1);
         assert_eq!(m.stats().traps, 2);

@@ -1,6 +1,6 @@
 //! Page-table storage for the simulated MMU.
 //!
-//! Two interchangeable implementations sit behind the [`PageTable`]
+//! Two interchangeable implementations sit behind the `PageTable`
 //! dispatch type:
 //!
 //! * [`PageTableImpl::Radix`] (the default) — a three-level radix tree of

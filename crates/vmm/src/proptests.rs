@@ -99,7 +99,7 @@ fn run_case(rng: &mut TestRng, nops: usize, case: u64) {
                 }
                 let (src, pages, group) =
                     (regions[i].base, regions[i].pages, regions[i].alias_group);
-                let alias = m.mremap_alias(src, pages).unwrap();
+                let alias = m.mremap_alias(&[(src, pages)]).unwrap();
                 regions.push(Region {
                     base: alias,
                     pages,
@@ -121,7 +121,7 @@ fn run_case(rng: &mut TestRng, nops: usize, case: u64) {
                     1 => Protection::Read,
                     _ => Protection::ReadWrite,
                 };
-                m.mprotect(regions[i].base, regions[i].pages, p).unwrap();
+                m.mprotect(&[(regions[i].base, regions[i].pages)], p).unwrap();
                 regions[i].prot = p;
             }
             Op::Unmap { of } => {
@@ -132,7 +132,7 @@ fn run_case(rng: &mut TestRng, nops: usize, case: u64) {
                 if !regions[i].live {
                     continue;
                 }
-                m.munmap(regions[i].base, regions[i].pages).unwrap();
+                m.munmap(&[(regions[i].base, regions[i].pages)]).unwrap();
                 regions[i].live = false;
             }
             Op::Store { of, offset, value } => {
@@ -229,14 +229,14 @@ fn radix_machine_is_bit_identical_to_reference() {
                 2 if !regions.is_empty() => {
                     let (a, p) = regions[rng.below(regions.len() as u64) as usize];
                     assert_eq!(
-                        reference.mmap_fixed(a, p),
-                        radix.mmap_fixed(a, p),
+                        reference.mmap_fixed(&[(a, p)]),
+                        radix.mmap_fixed(&[(a, p)]),
                         "{tag}: mmap_fixed"
                     );
                 }
                 3 if !regions.is_empty() => {
                     let (a, p) = regions[rng.below(regions.len() as u64) as usize];
-                    let (x, y) = (reference.mremap_alias(a, p), radix.mremap_alias(a, p));
+                    let (x, y) = (reference.mremap_alias(&[(a, p)]), radix.mremap_alias(&[(a, p)]));
                     assert_eq!(x, y, "{tag}: mremap_alias");
                     if let Ok(alias) = x {
                         regions.push((alias, p));
@@ -247,8 +247,8 @@ fn radix_machine_is_bit_identical_to_reference() {
                     let (dst, dp) = regions[rng.below(regions.len() as u64) as usize];
                     let p = sp.min(dp);
                     assert_eq!(
-                        reference.alias_fixed(src, dst, p),
-                        radix.alias_fixed(src, dst, p),
+                        reference.alias_fixed(&[(src, dst, p)]),
+                        radix.alias_fixed(&[(src, dst, p)]),
                         "{tag}: alias_fixed"
                     );
                 }
@@ -260,15 +260,16 @@ fn radix_machine_is_bit_identical_to_reference() {
                         _ => Protection::ReadWrite,
                     };
                     assert_eq!(
-                        reference.mprotect(a, p, prot),
-                        radix.mprotect(a, p, prot),
+                        reference.mprotect(&[(a, p)], prot),
+                        radix.mprotect(&[(a, p)], prot),
                         "{tag}: mprotect"
                     );
                 }
                 7 if !regions.is_empty() => {
                     let i = rng.below(regions.len() as u64) as usize;
                     let (a, p) = regions[i];
-                    assert_eq!(reference.munmap(a, p), radix.munmap(a, p), "{tag}: munmap");
+                    let (x, y) = (reference.munmap(&[(a, p)]), radix.munmap(&[(a, p)]));
+                    assert_eq!(x, y, "{tag}: munmap");
                     // Keep the region so later ops hit unmapped pages too.
                 }
                 8..=10 if !regions.is_empty() => {
@@ -333,9 +334,9 @@ fn radix_machine_is_bit_identical_to_reference() {
                         _ => Protection::ReadWrite,
                     };
                     assert_eq!(
-                        reference.mprotect_batch(&batch, prot),
-                        radix.mprotect_batch(&batch, prot),
-                        "{tag}: mprotect_batch"
+                        reference.mprotect(&batch, prot),
+                        radix.mprotect(&batch, prot),
+                        "{tag}: vectored mprotect"
                     );
                 }
                 17 if !regions.is_empty() => {
@@ -343,12 +344,12 @@ fn radix_machine_is_bit_identical_to_reference() {
                     let batch: Vec<_> = (0..n)
                         .map(|_| regions[rng.below(regions.len() as u64) as usize])
                         .collect();
-                    let (x, y) =
-                        (reference.mremap_alias_batch(&batch), radix.mremap_alias_batch(&batch));
-                    assert_eq!(x, y, "{tag}: mremap_alias_batch");
-                    if let Ok(aliases) = x {
-                        for (alias, (_, p)) in aliases.into_iter().zip(batch) {
+                    let (x, y) = (reference.mremap_alias(&batch), radix.mremap_alias(&batch));
+                    assert_eq!(x, y, "{tag}: vectored mremap_alias");
+                    if let Ok(mut alias) = x {
+                        for (_, p) in batch {
                             regions.push((alias, p));
+                            alias = alias.add((p * 4096) as u64);
                         }
                     }
                 }
@@ -358,9 +359,9 @@ fn radix_machine_is_bit_identical_to_reference() {
                         .map(|_| regions[rng.below(regions.len() as u64) as usize])
                         .collect();
                     assert_eq!(
-                        reference.mmap_fixed_batch(&batch),
-                        radix.mmap_fixed_batch(&batch),
-                        "{tag}: mmap_fixed_batch"
+                        reference.mmap_fixed(&batch),
+                        radix.mmap_fixed(&batch),
+                        "{tag}: vectored mmap_fixed"
                     );
                 }
                 19 if regions.len() >= 2 => {
@@ -373,9 +374,9 @@ fn radix_machine_is_bit_identical_to_reference() {
                         })
                         .collect();
                     assert_eq!(
-                        reference.alias_fixed_batch(&batch),
-                        radix.alias_fixed_batch(&batch),
-                        "{tag}: alias_fixed_batch"
+                        reference.alias_fixed(&batch),
+                        radix.alias_fixed(&batch),
+                        "{tag}: vectored alias_fixed"
                     );
                 }
                 _ => {
@@ -415,18 +416,18 @@ fn telemetry_counters_match_stats_under_random_syscalls() {
                 }
                 1 if !live.is_empty() => {
                     let (a, p) = live[rng.below(live.len() as u64) as usize];
-                    let alias = m.mremap_alias(a, p).unwrap();
+                    let alias = m.mremap_alias(&[(a, p)]).unwrap();
                     live.push((alias, p));
                 }
                 2 if !live.is_empty() => {
                     let (a, p) = live[rng.below(live.len() as u64) as usize];
-                    m.mprotect(a, p, Protection::Read).unwrap();
-                    m.mprotect(a, p, Protection::ReadWrite).unwrap();
+                    m.mprotect(&[(a, p)], Protection::Read).unwrap();
+                    m.mprotect(&[(a, p)], Protection::ReadWrite).unwrap();
                 }
                 3 if !live.is_empty() => {
                     let i = rng.below(live.len() as u64) as usize;
                     let (a, p) = live.swap_remove(i);
-                    m.munmap(a, p).unwrap();
+                    m.munmap(&[(a, p)]).unwrap();
                 }
                 // A vectored mprotect is ONE crossing: one family counter
                 // bump and one ring event, however many ranges it carries.
@@ -437,15 +438,14 @@ fn telemetry_counters_match_stats_under_random_syscalls() {
                         j = (j + 1) % live.len();
                     }
                     let batch = [live[i], live[j]];
-                    m.mprotect_batch(&batch, Protection::Read).unwrap();
-                    m.mprotect_batch(&batch, Protection::ReadWrite).unwrap();
+                    m.mprotect(&batch, Protection::Read).unwrap();
+                    m.mprotect(&batch, Protection::ReadWrite).unwrap();
                 }
                 5 if !live.is_empty() => {
                     let (a, p) = live[rng.below(live.len() as u64) as usize];
-                    let aliases = m.mremap_alias_batch(&[(a, p), (a, p)]).unwrap();
-                    for alias in aliases {
-                        live.push((alias, p));
-                    }
+                    let alias = m.mremap_alias(&[(a, p), (a, p)]).unwrap();
+                    live.push((alias, p));
+                    live.push((alias.add((p * 4096) as u64), p));
                 }
                 _ => m.dummy_syscall(),
             }
@@ -468,12 +468,12 @@ fn telemetry_counters_match_stats_under_random_syscalls() {
 fn telemetry_counters_match_known_sequence() {
     let mut m = Machine::free_running();
     let a = m.mmap(2).unwrap(); // 1 mmap
-    let b = m.mremap_alias(a, 2).unwrap(); // 1 mremap
+    let b = m.mremap_alias(&[(a, 2)]).unwrap(); // 1 mremap
     m.store_u64(a, 7).unwrap();
-    m.mprotect(b, 2, Protection::None).unwrap(); // 1 mprotect
+    m.mprotect(&[(b, 2)], Protection::None).unwrap(); // 1 mprotect
     assert!(m.load_u64(b).is_err()); // 1 trap
     m.dummy_syscall(); // 1 dummy
-    m.munmap(a, 2).unwrap(); // 1 munmap
+    m.munmap(&[(a, 2)]).unwrap(); // 1 munmap
     let t = m.telemetry();
     assert_eq!(t.counter("event.mmap"), 1);
     assert_eq!(t.counter("event.mremap"), 1);

@@ -34,11 +34,14 @@ pub struct MachineStats {
     pub phys_frames_in_use: u64,
     /// High-water mark of `phys_frames_in_use`.
     pub phys_frames_peak: u64,
-    /// Vectored `mprotect` crossings (each also counted in
-    /// `mprotect_calls`, so `total_syscalls` stays the crossing count).
+    /// `mprotect` crossings that carried two or more ranges (each also
+    /// counted in `mprotect_calls`, so `total_syscalls` stays the crossing
+    /// count).
     pub mprotect_batch_calls: u64,
-    /// Total `(addr, len)` ranges submitted across *all* vectored syscalls
-    /// (mprotect/mmap/mremap/munmap batches).
+    /// Total ranges carried by mapping syscalls with two or more ranges,
+    /// across every family (`mmap_fixed`, `alias_fixed`, `mremap_alias`,
+    /// `mprotect`, `munmap`). A one-range call is a plain crossing and
+    /// adds nothing.
     pub ranges_batched: u64,
     /// Cross-core TLB-shootdown interrupts delivered: one per *remote*
     /// core per mapping-mutating syscall when more than one core is
