@@ -3,9 +3,9 @@
 //! The server session loops model the Table 1 servers the paper evaluates
 //! (fingerd/ftpd/ghttpd) at a parameterizable scale, and the injected-UAF
 //! corpus gives every harness the same set of programs whose detection the
-//! detectors must reproduce. Centralizing the sources here keeps
-//! `lintperf`, `interpperf` and the engine-equivalence tests measuring and
-//! asserting on the *same* programs.
+//! detectors must reproduce. Centralizing the sources here keeps the
+//! ledger's `lint` and `engines` cells and the engine-equivalence tests
+//! measuring and asserting on the *same* programs.
 
 /// fingerd-style: one request record per query, used and retired inline.
 /// Every site is ProvablySafe — full elision under dangle-lint.
@@ -85,7 +85,7 @@ pub fn ghttpd(requests: u64) -> String {
     )
 }
 
-/// ghttpd keep-alive loop — the `interpperf` headline workload. Each
+/// ghttpd keep-alive loop — the ledger `engines` cell's headline workload. Each
 /// connection serves `requests` requests; a request allocates a response
 /// record, fills its headers through the detector-protected heap, and
 /// checksums the (simulated) body with a tight arithmetic loop — the mix

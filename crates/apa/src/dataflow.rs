@@ -69,7 +69,7 @@ pub enum LintMode {
     /// Every function in isolation: parameters and heap loads are `top`,
     /// calls havoc their arguments. This is the historical behavior, kept
     /// as the oracle that measures what the interprocedural layer buys
-    /// (lintperf asserts inter is at least as precise).
+    /// (the ledger's `lint` cell checks inter is at least as precise).
     Intra,
     /// Call-graph driven: per-function free/alias summaries are computed
     /// bottom-up over the SCC condensation and applied at call sites, so

@@ -1,33 +1,39 @@
-//! # dangle-bench — harnesses regenerating the paper's evaluation
+//! # dangle-bench — the evaluation ledger and its measurement helpers
 //!
-//! One binary per table/study (all print the paper-style rows):
+//! One binary, `ledger`, regenerates every table and study of the paper
+//! (Tables 1–3, §3.4, §4.3) plus the layer studies (batching, lint,
+//! sharding, sampling, engines, page tables, tracing) as a fixed matrix of
+//! *cells*:
 //!
-//! | target | regenerates |
-//! |---|---|
-//! | `cargo run -p dangle-bench --bin table1` | Table 1 — utility & server overheads across the five configurations |
-//! | `cargo run -p dangle-bench --bin table2` | Table 2 — comparison with the Valgrind-style checker |
-//! | `cargo run -p dangle-bench --bin table3` | Table 3 — allocation-intensive Olden overheads |
-//! | `cargo run -p dangle-bench --bin wastage` | §4.3 — address-space wastage of long-lived pools |
-//! | `cargo run -p dangle-bench --bin exhaustion` | §3.4 — virtual-address-space lifetime analysis |
-//! | `cargo run -p dangle-bench --bin ablation` | extra — cost/geometry/design ablations |
-//! | `cargo run -p dangle-bench --bin soundness` | extra — detection-rate study on random programs with injected bugs |
+//! ```text
+//! cargo run --release -p dangle-bench --bin ledger
+//! ```
 //!
-//! Times are **simulated cycles** from the machine's calibrated cost model;
-//! the *ratios* are the reproducible quantities (see EXPERIMENTS.md for the
-//! fidelity discussion).
+//! Every deterministic figure — simulated cycles, syscall counts, page
+//! counts, detection verdicts — goes to the committed `perf/ledger.json`;
+//! a change that moves one shows up as a diff of that file. Host figures
+//! (wall-clock time) go to `perf/ledger-host.json` as the median and
+//! interquartile range over [`REPS`] interleaved repetitions. Each cell
+//! carries the checks its study promises; the binary writes both files,
+//! then exits non-zero listing every failed check.
+//!
+//! Times are **simulated cycles** from the machine's calibrated cost model
+//! unless a field says otherwise; the *ratios* are the reproducible
+//! quantities (see EXPERIMENTS.md for the fidelity discussion). This
+//! library holds the pieces the cells share: the measurement
+//! configurations ([`Config`]), one measured run ([`Measurement`]) and the
+//! repetition harness ([`Cell`]).
 
-use dangle_interp::backend::{
-    Backend, CapabilityBackend, EFenceBackend, MemcheckBackend, NativeBackend, PoolBackend,
-    ShadowBackend, ShadowPoolBackend,
-};
+use dangle_interp::backend::ShadowPoolBackend;
+use dangle_interp::backend::{Backend, MemcheckBackend, NativeBackend, PoolBackend};
 use dangle_telemetry::{Json, MetricsSnapshot};
 use dangle_vmm::{Machine, MachineConfig, MachineStats};
 use dangle_workloads::Workload;
+use std::fmt::{Debug, Display};
+use std::time::Instant;
 
-pub use dangle_telemetry::Artifact;
-
-/// The measurement configurations of Tables 1 and 3, plus the baseline
-/// detectors for Table 2 and the related-work comparisons.
+/// The measurement configurations of Tables 1 and 3, plus the Valgrind
+/// baseline of Table 2.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Config {
     /// Plain malloc ("native" column; we do not model compiler codegen
@@ -42,33 +48,12 @@ pub enum Config {
     /// The paper's detector: shadow pages + pool VA recycling ("Our
     /// approach").
     Ours,
-    /// Insight 1 only (shadow pages, no pools) — debugging mode.
-    ShadowOnly,
-    /// Electric Fence (object per virtual *and* physical page).
-    EFence,
     /// Valgrind-memcheck-style software checking.
     Memcheck,
-    /// SafeC/Xu-style capability checking.
-    Capability,
 }
 
 impl Config {
-    /// Column label used in the printed tables.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Config::Native => "native",
-            Config::Base => "LLVM (base)",
-            Config::Pa => "PA",
-            Config::PaDummy => "PA + dummy syscalls",
-            Config::Ours => "Our approach",
-            Config::ShadowOnly => "shadow (no pools)",
-            Config::EFence => "Electric Fence",
-            Config::Memcheck => "Valgrind",
-            Config::Capability => "capability store",
-        }
-    }
-
-    /// Machine-readable key used in `BENCH_*.json` artifacts.
+    /// Machine-readable key used in the ledger.
     pub fn key(&self) -> &'static str {
         match self {
             Config::Native => "native",
@@ -76,10 +61,7 @@ impl Config {
             Config::Pa => "pa",
             Config::PaDummy => "pa_dummy",
             Config::Ours => "ours",
-            Config::ShadowOnly => "shadow_only",
-            Config::EFence => "efence",
             Config::Memcheck => "memcheck",
-            Config::Capability => "capability",
         }
     }
 
@@ -90,25 +72,18 @@ impl Config {
             Config::Pa => Box::new(PoolBackend::new()),
             Config::PaDummy => Box::new(PoolBackend::with_dummy_syscalls()),
             Config::Ours => Box::new(ShadowPoolBackend::new()),
-            Config::ShadowOnly => Box::new(ShadowBackend::new()),
-            Config::EFence => Box::new(EFenceBackend::new()),
             Config::Memcheck => Box::new(MemcheckBackend::new()),
-            Config::Capability => Box::new(CapabilityBackend::new()),
         }
     }
 }
 
-/// One measured run.
+/// One measured run. Every field is simulated and deterministic.
 #[derive(Clone, Debug)]
 pub struct Measurement {
     /// Simulated cycles consumed.
     pub cycles: u64,
     /// Workload checksum (must agree across configurations).
     pub checksum: u64,
-    /// Host wall-clock time of the run in milliseconds (the only
-    /// host-dependent field; everything else is simulated and
-    /// deterministic).
-    pub host_wall_ms: f64,
     /// Machine counters at completion.
     pub stats: MachineStats,
     /// Full telemetry snapshot (event counters, pool/core/gc metrics, and
@@ -117,217 +92,276 @@ pub struct Measurement {
 }
 
 impl Measurement {
-    /// Host throughput: complete workload executions per second of host
-    /// wall-clock time (0.0 when the run was too fast to time).
-    pub fn host_exec_per_sec(&self) -> f64 {
-        if self.host_wall_ms > 0.0 { 1000.0 / self.host_wall_ms } else { 0.0 }
-    }
-
-    /// This measurement with the host-dependent fields zeroed — the
-    /// deterministic view that run-to-run comparisons (and the isolation
-    /// tests) use.
-    pub fn without_host(&self) -> Measurement {
-        Measurement { host_wall_ms: 0.0, ..self.clone() }
-    }
-
-    /// The standard JSON view of one run, embedded in every artifact row:
+    /// The standard JSON view of one run, embedded in every ledger row:
     /// cycles, syscall counts by kind, TLB hit/miss counts, sampled-
-    /// protection decision counts, access counts, memory high-water marks,
-    /// host wall-clock throughput, and the raw metrics snapshot. `host_wall_ms`/`host_exec_per_sec` are always
-    /// emitted (zero when untimed) so every `BENCH_*.json` tracks the host
-    /// perf trajectory on a stable schema.
+    /// protection decision counts, access counts, memory high-water marks
+    /// and the raw metrics snapshot. Batching and sampling keys are always
+    /// emitted (zero when the layer is off) so the schema is stable.
     pub fn to_json(&self) -> Json {
         let s = &self.stats;
-        Json::Obj(vec![
-            ("cycles".into(), Json::from_u64(self.cycles)),
-            ("checksum".into(), Json::from_u64(self.checksum)),
-            ("host_wall_ms".into(), Json::Float(self.host_wall_ms)),
-            ("host_exec_per_sec".into(), Json::Float(self.host_exec_per_sec())),
+        let counter = |name| Json::from_u64(self.metrics.counter(name));
+        obj(vec![
+            ("cycles", Json::from_u64(self.cycles)),
+            ("checksum", Json::from_u64(self.checksum)),
             (
-                "syscalls".into(),
-                Json::Obj(vec![
-                    ("mmap".into(), Json::from_u64(s.mmap_calls)),
-                    ("mremap".into(), Json::from_u64(s.mremap_calls)),
-                    ("mprotect".into(), Json::from_u64(s.mprotect_calls)),
-                    ("mprotect_batch".into(), Json::from_u64(s.mprotect_batch_calls)),
-                    ("ranges_batched".into(), Json::from_u64(s.ranges_batched)),
-                    ("munmap".into(), Json::from_u64(s.munmap_calls)),
-                    ("dummy".into(), Json::from_u64(s.dummy_calls)),
-                    ("total".into(), Json::from_u64(s.total_syscalls())),
+                "syscalls",
+                obj(u64s(&[
+                    ("mmap", s.mmap_calls),
+                    ("mremap", s.mremap_calls),
+                    ("mprotect", s.mprotect_calls),
+                    ("mprotect_batch", s.mprotect_batch_calls),
+                    ("ranges_batched", s.ranges_batched),
+                    ("munmap", s.munmap_calls),
+                    ("dummy", s.dummy_calls),
+                    ("total", s.total_syscalls()),
+                ])),
+            ),
+            (
+                "tlb",
+                obj(vec![
+                    ("hits", counter("vmm.tlb_hits")),
+                    ("misses", counter("vmm.tlb_misses")),
                 ]),
             ),
             (
-                "tlb".into(),
-                Json::Obj(vec![
-                    ("hits".into(), Json::from_u64(self.metrics.counter("vmm.tlb_hits"))),
-                    ("misses".into(), Json::from_u64(self.metrics.counter("vmm.tlb_misses"))),
+                "sampling",
+                obj(vec![
+                    ("protected", counter("sampling.protected")),
+                    ("skipped", counter("sampling.skipped")),
+                    ("budget_exhausted", counter("sampling.budget_exhausted")),
                 ]),
             ),
             (
-                // Always emitted, zero-valued when sampling is off (the
-                // metrics registry reports 0 for never-bumped counters) —
-                // same uniform-schema treatment as `mprotect_batch` above.
-                "sampling".into(),
-                Json::Obj(vec![
-                    (
-                        "protected".into(),
-                        Json::from_u64(self.metrics.counter("sampling.protected")),
-                    ),
-                    (
-                        "skipped".into(),
-                        Json::from_u64(self.metrics.counter("sampling.skipped")),
-                    ),
-                    (
-                        "budget_exhausted".into(),
-                        Json::from_u64(self.metrics.counter("sampling.budget_exhausted")),
-                    ),
-                ]),
+                "accesses",
+                obj(u64s(&[("loads", s.loads), ("stores", s.stores)])),
             ),
             (
-                "accesses".into(),
-                Json::Obj(vec![
-                    ("loads".into(), Json::from_u64(s.loads)),
-                    ("stores".into(), Json::from_u64(s.stores)),
-                ]),
+                "memory",
+                obj(u64s(&[
+                    ("virt_pages_consumed", s.virt_pages_allocated),
+                    ("virt_pages_mapped_peak", s.virt_pages_mapped_peak),
+                    ("phys_frames_peak", s.phys_frames_peak),
+                ])),
             ),
-            (
-                "memory".into(),
-                Json::Obj(vec![
-                    ("virt_pages_consumed".into(), Json::from_u64(s.virt_pages_allocated)),
-                    ("virt_pages_mapped_peak".into(), Json::from_u64(s.virt_pages_mapped_peak)),
-                    ("phys_frames_peak".into(), Json::from_u64(s.phys_frames_peak)),
-                ]),
-            ),
-            ("traps".into(), Json::from_u64(s.traps)),
-            ("metrics".into(), self.metrics.to_json()),
+            ("traps", Json::from_u64(s.traps)),
+            ("metrics", self.metrics.to_json()),
         ])
     }
+}
+
+/// A JSON object from borrowed keys, in order.
+pub fn obj(fields: Vec<(&str, Json)>) -> Json {
+    let fields = fields.into_iter().map(|(k, v)| (k.to_string(), v));
+    Json::Obj(fields.collect())
+}
+
+/// Integer fields (key, value) for [`obj`], in order.
+pub fn u64s<'a>(kv: &[(&'a str, u64)]) -> Vec<(&'a str, Json)> {
+    kv.iter().map(|&(k, v)| (k, Json::from_u64(v))).collect()
 }
 
 /// The syscall/TLB decomposition of Tables 1 and 3: the `PA + dummy
 /// syscalls` configuration isolates the kernel-crossing share of the
 /// overhead; the remainder is TLB pressure.
-pub fn decomposition_json(
-    base: &Measurement,
-    pa_dummy: &Measurement,
-    ours: &Measurement,
-) -> Json {
+pub fn decomposition_json(base: &Measurement, pa_dummy: &Measurement, ours: &Measurement) -> Json {
     let overhead = ours.cycles.saturating_sub(base.cycles);
     let syscall_part = pa_dummy.cycles.saturating_sub(base.cycles).min(overhead);
     let tlb_part = overhead - syscall_part;
     let denom = overhead.max(1) as f64;
-    Json::Obj(vec![
-        ("overhead_cycles".into(), Json::from_u64(overhead)),
-        ("syscall_cycles".into(), Json::from_u64(syscall_part)),
-        ("tlb_cycles".into(), Json::from_u64(tlb_part)),
-        ("syscall_share".into(), Json::Float(syscall_part as f64 / denom)),
-        ("tlb_share".into(), Json::Float(tlb_part as f64 / denom)),
+    obj(vec![
+        ("overhead_cycles", Json::from_u64(overhead)),
+        ("syscall_cycles", Json::from_u64(syscall_part)),
+        ("tlb_cycles", Json::from_u64(tlb_part)),
+        ("syscall_share", Json::Float(syscall_part as f64 / denom)),
+        ("tlb_share", Json::Float(tlb_part as f64 / denom)),
     ])
 }
 
 /// Runs `workload` under `config` on a calibrated machine.
 ///
 /// # Panics
-/// Panics if the workload fails (correct workloads never trigger a
-/// detection).
+/// As [`measure_on`].
 pub fn measure(workload: &dyn Workload, config: Config) -> Measurement {
     measure_with(workload, config, MachineConfig::default())
 }
 
-/// Runs `workload` under `config` with an explicit machine configuration
-/// (used by the ablation sweeps).
+/// [`measure`] with an explicit machine configuration (the ablation
+/// sweeps, the page-table comparison).
 ///
 /// # Panics
-/// Panics if the workload fails.
-pub fn measure_with(
-    workload: &dyn Workload,
-    config: Config,
-    machine_config: MachineConfig,
-) -> Measurement {
-    let mut backend = config.backend();
-    measure_backend(workload, backend.as_mut(), machine_config)
+/// As [`measure_on`].
+pub fn measure_with(w: &dyn Workload, config: Config, machine: MachineConfig) -> Measurement {
+    let mut machine = Machine::with_config(machine);
+    measure_on(w, config.backend().as_mut(), &mut machine)
 }
 
-/// The one measurement helper every harness shares: runs `workload` on an
-/// explicit `backend` instance (for detector configurations that have no
-/// [`Config`] key, e.g. batched-syscall modes) on a fresh machine, and
-/// packages the result exactly like [`measure`]. Telemetry series are
-/// zeroed via [`dangle_telemetry::Telemetry::reset_for_run`] before the
-/// run, so consecutive configurations can never bleed counters or
-/// histograms into each other's artifact rows.
+/// Runs `workload` on an explicit `backend` (for detector configurations
+/// that have no [`Config`] key, e.g. batched-syscall modes) and a
+/// caller-owned machine, which cells can inspect (e.g. the flight
+/// recorder) after the run. Telemetry series are zeroed via
+/// [`dangle_telemetry::Telemetry::reset_for_run`] first, so consecutive
+/// configurations never bleed counters into each other's rows.
 ///
 /// # Panics
-/// Panics if the workload fails.
-pub fn measure_backend(
-    workload: &dyn Workload,
-    backend: &mut dyn Backend,
-    machine_config: MachineConfig,
-) -> Measurement {
-    let mut machine = Machine::with_config(machine_config);
-    measure_on(workload, backend, &mut machine)
-}
-
-/// [`measure_backend`] on a caller-owned machine, for harnesses that need
-/// to inspect machine state (e.g. the flight recorder) after the run.
-///
-/// # Panics
-/// Panics if the workload fails.
+/// Panics if the workload fails (correct workloads never trigger a
+/// detection).
 pub fn measure_on(
     workload: &dyn Workload,
     backend: &mut dyn Backend,
     machine: &mut Machine,
 ) -> Measurement {
     machine.telemetry_mut().reset_for_run();
-    let started = std::time::Instant::now();
-    let checksum = workload
-        .run(machine, backend)
-        .unwrap_or_else(|e| panic!("{} on {}: {e}", workload.name(), backend.name()));
+    let checksum = workload.run(machine, backend);
+    let checksum =
+        checksum.unwrap_or_else(|e| panic!("{} on {}: {e}", workload.name(), backend.name()));
     Measurement {
         cycles: machine.clock(),
         checksum,
-        host_wall_ms: started.elapsed().as_secs_f64() * 1000.0,
         stats: *machine.stats(),
         metrics: machine.metrics_snapshot(),
     }
 }
 
-/// `a / b` as a ratio with two decimals.
+/// `a / b` as a float ratio, guarding a zero denominator.
 pub fn ratio(a: u64, b: u64) -> f64 {
     a as f64 / b.max(1) as f64
 }
 
-/// Formats cycles in millions.
-pub fn mcycles(c: u64) -> String {
-    format!("{:.2}", c as f64 / 1.0e6)
+/// Repetitions of every cell configuration. Host figures are the median
+/// and interquartile range over these; simulated figures must agree
+/// across all of them.
+pub const REPS: usize = 5;
+
+/// The order configurations `0..n` run in during repetition `rep`: each
+/// configuration is interleaved with its partners, and the order flips on
+/// every repetition so none of them always runs first (warm caches) or
+/// last.
+fn rep_order(n: usize, rep: usize) -> Vec<usize> {
+    let order = 0..n;
+    if rep.is_multiple_of(2) {
+        order.collect()
+    } else {
+        order.rev().collect()
+    }
 }
 
-/// Renders an ASCII table: a header row then data rows.
-pub fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
-    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
+/// Median and interquartile range of host samples, in milliseconds.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Spread {
+    /// The median sample.
+    pub median: f64,
+    /// Third quartile minus first quartile (linear interpolation).
+    pub iqr: f64,
+}
+
+impl Spread {
+    /// Summarises `samples` (at least one).
+    pub fn of(samples: &[f64]) -> Spread {
+        let mut s = samples.to_vec();
+        s.sort_by(f64::total_cmp);
+        let q = |p: f64| {
+            let x = p * (s.len() - 1) as f64;
+            let (lo, hi) = (x.floor() as usize, x.ceil() as usize);
+            s[lo] + (s[hi] - s[lo]) * (x - lo as f64)
+        };
+        Spread {
+            median: q(0.5),
+            iqr: q(0.75) - q(0.25),
+        }
+    }
+}
+
+/// One ledger cell: its deterministic figures, its host figures and the
+/// checks that failed while it ran.
+#[derive(Debug, Default)]
+pub struct Cell {
+    /// Simulated (deterministic) figures, in insertion order.
+    pub figures: Vec<(String, Json)>,
+    /// Host figures, in insertion order.
+    pub host: Vec<(String, Json)>,
+    /// Descriptions of the failed checks.
+    pub failures: Vec<String>,
+    /// What is under check (see [`Cell::scoped`]).
+    scope: String,
+}
+
+impl Cell {
+    /// Records a deterministic figure.
+    pub fn set(&mut self, key: &str, value: Json) {
+        self.figures.push((key.to_string(), value));
+    }
+
+    /// Records a host figure.
+    pub fn set_host(&mut self, key: &str, value: Json) {
+        self.host.push((key.to_string(), value));
+    }
+
+    /// A check: records `what` as a failure unless `ok`; returns `ok`.
+    pub fn check(&mut self, ok: bool, what: impl Display) -> bool {
+        if !ok {
+            let sep = if self.scope.is_empty() { "" } else { ": " };
+            self.failures.push(format!("{}{sep}{what}", self.scope));
+        }
+        ok
+    }
+
+    /// Runs `f` with `scope` (e.g. a workload name) prefixing every
+    /// failure it records, then restores the enclosing scope.
+    pub fn scoped<T>(&mut self, scope: impl Display, f: impl FnOnce(&mut Cell) -> T) -> T {
+        let outer = std::mem::replace(&mut self.scope, scope.to_string());
+        let result = f(self);
+        self.scope = outer;
+        result
+    }
+
+    /// An equality check; the failure names both values (abridged).
+    pub fn check_eq<T: PartialEq + Debug>(&mut self, a: T, b: T, what: impl Display) -> bool {
+        let short = |v: &T| format!("{v:?}").chars().take(120).collect::<String>();
+        a == b || self.check(false, format!("{what}: {} != {}", short(&a), short(&b)))
+    }
+
+    /// Runs configurations `labels` [`REPS`] times each, interleaved with
+    /// the order flipping every repetition, and returns the first
+    /// repetition's results with each configuration's wall-time [`Spread`]
+    /// (also recorded as host figure `<label>`). Results hold simulated
+    /// figures only, so every repetition must render (`Debug`) exactly
+    /// like the first; a difference is a failed check.
+    pub fn reps<R: Debug>(
+        &mut self,
+        labels: &[impl AsRef<str>],
+        mut run: impl FnMut(usize) -> R,
+    ) -> (Vec<R>, Vec<Spread>) {
+        let mut first: Vec<Option<(R, String)>> = labels.iter().map(|_| None).collect();
+        let mut ms = vec![Vec::new(); labels.len()];
+        for rep in 0..REPS {
+            for i in rep_order(labels.len(), rep) {
+                let started = Instant::now();
+                let r = run(i);
+                ms[i].push(started.elapsed().as_secs_f64() * 1e3);
+                let view = format!("{r:?}");
+                match &first[i] {
+                    Some((_, v)) if *v != view => {
+                        let label = labels[i].as_ref();
+                        self.check(false, format!("{label}: figures differ across repetitions"));
+                    }
+                    Some(_) => {}
+                    None => first[i] = Some((r, view)),
+                }
             }
         }
-    }
-    let mut out = String::new();
-    let fmt_row = |cells: &[String], widths: &[usize]| -> String {
-        let mut line = String::from("| ");
-        for (i, c) in cells.iter().enumerate() {
-            line.push_str(&format!("{:<w$} | ", c, w = widths[i]));
+        let spreads: Vec<Spread> = ms.iter().map(|s| Spread::of(s)).collect();
+        for (label, s) in labels.iter().zip(&spreads) {
+            let figure = obj(vec![
+                ("median_ms", Json::Float(s.median)),
+                ("iqr_ms", Json::Float(s.iqr)),
+            ]);
+            self.set_host(label.as_ref(), figure);
         }
-        line.push('\n');
-        line
-    };
-    let head: Vec<String> = header.iter().map(|s| s.to_string()).collect();
-    out.push_str(&fmt_row(&head, &widths));
-    let sep: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
-    out.push_str(&fmt_row(&sep, &widths));
-    for row in rows {
-        out.push_str(&fmt_row(row, &widths));
+        (
+            first.into_iter().map(|f| f.expect("REPS >= 1").0).collect(),
+            spreads,
+        )
     }
-    out
 }
 
 #[cfg(test)]
@@ -335,126 +369,107 @@ mod tests {
     use super::*;
     use dangle_workloads::servers::Ghttpd;
 
-    #[test]
-    fn measurement_is_deterministic() {
-        let w = Ghttpd { connections: 2, response_bytes: 2000 };
-        let a = measure(&w, Config::Ours);
-        let b = measure(&w, Config::Ours);
-        assert_eq!(a.cycles, b.cycles);
-        assert_eq!(a.checksum, b.checksum);
-    }
+    const GHTTPD: Ghttpd = Ghttpd {
+        connections: 2,
+        response_bytes: 2000,
+    };
 
     #[test]
-    fn measurements_are_isolated_across_configurations() {
+    fn measurements_are_isolated_and_deterministic() {
         // A run sandwiched between two other configurations must produce a
-        // byte-identical artifact row to a standalone run — no counter or
+        // byte-identical ledger row to a standalone run — no counter or
         // histogram bleed through the measurement helper.
-        let w = Ghttpd { connections: 2, response_bytes: 2000 };
-        let first = measure(&w, Config::Ours);
-        let _between = measure(&w, Config::Memcheck);
-        let again = measure(&w, Config::Ours);
-        // Host wall time is the one legitimately nondeterministic field.
-        assert_eq!(
-            first.without_host().to_json().to_string(),
-            again.without_host().to_json().to_string()
-        );
-    }
-
-    #[test]
-    fn host_throughput_keys_are_always_emitted() {
-        let w = Ghttpd { connections: 2, response_bytes: 2000 };
-        let m = measure(&w, Config::Native);
-        let j = Json::parse(&m.to_json().to_string()).unwrap();
-        let wall = j.get("host_wall_ms").and_then(Json::as_f64).unwrap();
-        let eps = j.get("host_exec_per_sec").and_then(Json::as_f64).unwrap();
-        assert!(wall >= 0.0);
-        if wall > 0.0 {
-            assert!((eps - 1000.0 / wall).abs() < 1e-6);
-        }
-        // The zeroed view keeps the keys (stable schema), just at 0.
-        let z = m.without_host().to_json();
-        assert_eq!(z.get("host_wall_ms").and_then(Json::as_f64), Some(0.0));
-        assert_eq!(z.get("host_exec_per_sec").and_then(Json::as_f64), Some(0.0));
+        let first = measure(&GHTTPD, Config::Ours);
+        measure(&GHTTPD, Config::Memcheck);
+        let again = measure(&GHTTPD, Config::Ours);
+        assert_eq!(first.to_json().to_string(), again.to_json().to_string());
     }
 
     #[test]
     fn checksums_agree_across_configs() {
-        let w = Ghttpd { connections: 2, response_bytes: 2000 };
-        let native = measure(&w, Config::Native);
+        let native = measure(&GHTTPD, Config::Native).checksum;
         for c in [Config::Pa, Config::PaDummy, Config::Ours, Config::Memcheck] {
-            assert_eq!(measure(&w, c).checksum, native.checksum, "{c:?}");
+            assert_eq!(measure(&GHTTPD, c).checksum, native, "{c:?}");
         }
     }
 
     #[test]
-    fn ours_costs_more_than_native_but_not_wildly_for_servers() {
-        let w = Ghttpd { connections: 4, response_bytes: 8000 };
-        let native = measure(&w, Config::Native);
-        let ours = measure(&w, Config::Ours);
-        let r = ratio(ours.cycles, native.cycles);
-        assert!(r >= 1.0, "detector cannot be free: {r}");
-        assert!(r < 1.3, "server overhead must be small: {r}");
-    }
-
-    #[test]
     fn measurement_json_carries_syscall_and_tlb_breakdown() {
-        let w = Ghttpd { connections: 2, response_bytes: 2000 };
-        let m = measure(&w, Config::Ours);
-        let j = m.to_json();
-        let text = j.to_string();
-        let parsed = Json::parse(&text).expect("measurement JSON parses back");
-        let sys = parsed.get("syscalls").expect("syscalls object");
-        let total = sys.get("total").and_then(Json::as_u64).unwrap();
-        assert_eq!(total, m.stats.total_syscalls());
+        let m = measure(&GHTTPD, Config::Ours);
+        let json = Json::parse(&m.to_json().to_string()).expect("measurement JSON parses back");
+        let field = |path: &[&str]| path.iter().try_fold(&json, |j, k| j.get(k))?.as_u64();
         assert_eq!(
-            sys.get("mremap").and_then(Json::as_u64).unwrap(),
-            m.stats.mremap_calls,
+            field(&["syscalls", "total"]),
+            Some(m.stats.total_syscalls())
         );
-        // Batching keys are always emitted (zero when batching is off) so
-        // artifact consumers see a stable schema.
-        assert_eq!(sys.get("mprotect_batch").and_then(Json::as_u64), Some(0));
-        assert_eq!(sys.get("ranges_batched").and_then(Json::as_u64), Some(0));
-        // Sampling keys likewise: always present, zero-valued when the
-        // sampled-protection mode is off (as in every paper-table config).
-        let sampling = parsed.get("sampling").expect("sampling object");
-        assert_eq!(sampling.get("protected").and_then(Json::as_u64), Some(0));
-        assert_eq!(sampling.get("skipped").and_then(Json::as_u64), Some(0));
-        assert_eq!(sampling.get("budget_exhausted").and_then(Json::as_u64), Some(0));
-        let tlb = parsed.get("tlb").expect("tlb object");
-        let hits = tlb.get("hits").and_then(Json::as_u64).unwrap();
-        let misses = tlb.get("misses").and_then(Json::as_u64).unwrap();
+        assert_eq!(field(&["syscalls", "mremap"]), Some(m.stats.mremap_calls));
+        // Batching and sampling keys are always emitted (zero when the
+        // layer is off, as in every paper-table config).
+        assert_eq!(field(&["syscalls", "mprotect_batch"]), Some(0));
+        assert_eq!(field(&["syscalls", "ranges_batched"]), Some(0));
+        assert_eq!(field(&["sampling", "protected"]), Some(0));
+        assert_eq!(field(&["sampling", "skipped"]), Some(0));
+        assert_eq!(field(&["sampling", "budget_exhausted"]), Some(0));
+        let [hits, misses] = [["tlb", "hits"], ["tlb", "misses"]].map(|p| field(&p).unwrap());
         // Page-crossing accesses perform two lookups, so >= not ==.
         assert!(hits + misses >= m.stats.loads + m.stats.stores);
         assert!(misses > 0, "workload touches more pages than the TLB holds");
-        assert!(parsed.get("metrics").is_some(), "raw snapshot embedded");
+        assert!(json.get("metrics").is_some(), "raw snapshot embedded");
     }
 
     #[test]
     fn decomposition_splits_overhead_exactly() {
-        let w = Ghttpd { connections: 2, response_bytes: 2000 };
-        let base = measure(&w, Config::Base);
-        let pa_dummy = measure(&w, Config::PaDummy);
-        let ours = measure(&w, Config::Ours);
-        let d = decomposition_json(&base, &pa_dummy, &ours);
-        let overhead = d.get("overhead_cycles").and_then(Json::as_u64).unwrap();
-        let sys = d.get("syscall_cycles").and_then(Json::as_u64).unwrap();
-        let tlb = d.get("tlb_cycles").and_then(Json::as_u64).unwrap();
-        assert_eq!(sys + tlb, overhead, "decomposition must be exact");
-        assert_eq!(overhead, ours.cycles - base.cycles);
-    }
-
-    #[test]
-    fn table_renders_all_rows() {
-        let t = render_table(
-            &["a", "bench"],
-            &[vec!["1".into(), "x".into()], vec!["2".into(), "y".into()]],
+        let [base, dummy, ours] =
+            [Config::Base, Config::PaDummy, Config::Ours].map(|c| measure(&GHTTPD, c));
+        let d = decomposition_json(&base, &dummy, &ours);
+        let part = |k| d.get(k).and_then(Json::as_u64).unwrap();
+        assert_eq!(
+            part("syscall_cycles") + part("tlb_cycles"),
+            part("overhead_cycles")
         );
-        assert_eq!(t.lines().count(), 4);
-        assert!(t.contains("bench"));
+        assert_eq!(part("overhead_cycles"), ours.cycles - base.cycles);
     }
 
     #[test]
     fn ratio_guards_zero() {
         assert_eq!(ratio(10, 0), 10.0);
+    }
+
+    #[test]
+    fn spread_is_median_and_interquartile_range() {
+        let spread = |samples: &[f64]| {
+            let s = Spread::of(samples);
+            (s.median, s.iqr)
+        };
+        assert_eq!(spread(&[5.0, 1.0, 4.0, 2.0, 3.0]), (3.0, 2.0));
+        assert_eq!(spread(&[7.0]), (7.0, 0.0));
+        assert_eq!(spread(&[1.0, 2.0]), (1.5, 0.5));
+    }
+
+    #[test]
+    fn reps_interleave_and_flag_nondeterministic_figures() {
+        let mut cell = Cell::default();
+        let mut calls = Vec::new();
+        let (first, spreads) = cell.reps(&["a", "b"], |i| (calls.push(i), i).1);
+        assert_eq!(&calls[..4], [0, 1, 1, 0], "alternating which runs first");
+        assert_eq!(calls.len(), 2 * REPS);
+        assert_eq!((first, spreads.len(), cell.host.len()), (vec![0, 1], 2, 2));
+        assert!(cell.failures.is_empty());
+
+        let mut n = 0;
+        cell.scoped("w", |cell| cell.reps(&["c"], |_| (n += 1, n).1));
+        assert_eq!(cell.failures.len(), REPS - 1);
+        assert_eq!(cell.failures[0], "w: c: figures differ across repetitions");
+        cell.check(false, "outside");
+        assert_eq!(cell.failures[REPS - 1], "outside", "scope restored");
+    }
+
+    #[test]
+    fn failed_checks_are_collected_not_raised() {
+        let mut cell = Cell::default();
+        assert!(cell.check_eq(1, 1, "one"));
+        assert!(!cell.check_eq(1, 2, "two"));
+        assert!(!cell.check(false, "three"));
+        assert_eq!(cell.failures, ["two: 1 != 2", "three"]);
     }
 }

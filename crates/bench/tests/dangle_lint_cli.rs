@@ -4,6 +4,7 @@
 //! argument parsing, exit-status contract and human/JSON renderings are
 //! all under test exactly as a CI script would see them.
 
+use dangle_telemetry::Json;
 use std::process::{Command, Output};
 
 fn dangle_lint(args: &[&str]) -> Output {
@@ -41,7 +42,10 @@ fn intra_mode_loses_the_helper_sites() {
     assert!(out.status.success(), "{out:?}");
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("dangle-lint (intra)"), "{stdout}");
-    assert!(stdout.contains("sites: 0 safe, 2 unknown, 0 flagged"), "{stdout}");
+    assert!(
+        stdout.contains("sites: 0 safe, 2 unknown, 0 flagged"),
+        "{stdout}"
+    );
     assert!(
         stdout.contains("elidable classes: none"),
         "intra must keep full protection: {stdout}"
@@ -66,7 +70,10 @@ fn definite_finding_exits_nonzero_with_spanned_diagnostic() {
     let out = dangle_lint(&[path.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let stderr = String::from_utf8(out.stderr).unwrap();
-    assert!(stderr.contains("error[dangle-lint]: definite use-after-free"), "{stderr}");
+    assert!(
+        stderr.contains("error[dangle-lint]: definite use-after-free"),
+        "{stderr}"
+    );
     assert!(stderr.contains("free at 4:1"), "{stderr}");
     assert!(stderr.contains("offending use at 5:8"), "{stderr}");
 }
@@ -108,7 +115,10 @@ fn json_output_carries_the_schema() {
     let sites = json.get("sites").and_then(|v| v.as_arr()).expect("sites");
     assert!(!sites.is_empty());
     for s in sites {
-        assert_eq!(s.get("verdict").and_then(|v| v.as_str()), Some("ProvablySafe"));
+        assert_eq!(
+            s.get("verdict").and_then(|v| v.as_str()),
+            Some("ProvablySafe")
+        );
         assert_eq!(s.get("elided"), Some(&dangle_telemetry::Json::Bool(true)));
     }
 }
@@ -121,11 +131,45 @@ fn usage_errors_exit_2() {
 }
 
 #[test]
-fn list_names_every_builtin() {
+fn list_names_every_builtin_and_each_lints_clean_in_both_modes() {
     let out = dangle_lint(&["--list"]);
     assert!(out.status.success());
     let stdout = String::from_utf8(out.stdout).unwrap();
-    for name in ["figure1", "figure1-fixed", "fingerd", "ftpd-helper", "ghttpd-keepalive"] {
-        assert!(stdout.lines().any(|l| l == name), "missing {name}: {stdout}");
+    for name in [
+        "figure1",
+        "figure1-fixed",
+        "fingerd",
+        "ftpd-helper",
+        "ghttpd-keepalive",
+    ] {
+        assert!(
+            stdout.lines().any(|l| l == name),
+            "missing {name}: {stdout}"
+        );
+    }
+    // No built-in program has a Definite finding (exit 0), in either mode.
+    for prog in stdout.lines() {
+        for args in [&["--corpus", prog][..], &["--intra", "--corpus", prog]] {
+            let out = dangle_lint(args);
+            assert!(out.status.success(), "{args:?}: {out:?}");
+        }
+    }
+}
+
+#[test]
+fn buggy_figure1_keeps_full_protection_without_a_definite_flag() {
+    // The runtime detector catches Figure 1's dangling write; the lint must
+    // neither flag it Definite nor elide any of its protection.
+    let out = dangle_lint(&["--json", "--corpus", "figure1"]);
+    assert!(out.status.success(), "{out:?}");
+    let json = Json::parse(&String::from_utf8(out.stdout).unwrap()).expect("valid JSON");
+    let flagged = json.get("counts").and_then(|c| c.get("flagged"));
+    assert_eq!(flagged.and_then(Json::as_i64), Some(0));
+    let list = |key| json.get(key).and_then(Json::as_arr).expect(key);
+    assert!(!list("sites").is_empty());
+    for (key, flag) in [("sites", "elided"), ("classes", "elidable")] {
+        for item in list(key) {
+            assert_eq!(item.get(flag), Some(&Json::Bool(false)), "{item:?}");
+        }
     }
 }

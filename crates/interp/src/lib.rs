@@ -16,8 +16,8 @@
 //! Two execution engines share that contract: the tree-walking AST
 //! interpreter ([`run`], [`Engine::Ast`]) and the register-bytecode
 //! compiler + VM ([`compile()`] → [`run_compiled`], [`Engine::Bytecode`]),
-//! which lowers every name to a numeric slot ahead of time for ~10x the
-//! host throughput. Both read their names from [`dangle_apa::resolve()`]
+//! which lowers every name to a numeric slot ahead of time for several
+//! times the host throughput (see [`Engine::Bytecode`]). Both read their names from [`dangle_apa::resolve()`]
 //! and reject the programs it rejects, with the same error, before
 //! running. The engines are differentially tested to produce identical
 //! output, steps, simulated clock, detections and trap reports;
@@ -82,6 +82,10 @@ pub enum RunError {
     /// Name resolution rejected the program before execution: the first
     /// error [`dangle_apa::resolve()`] found, the same on both engines.
     Name(ValidateError),
+    /// The bytecode verifier rejected a [`BcProgram`] before execution
+    /// (only a hand-assembled program can trip it; [`compile()`] output
+    /// always verifies).
+    InvalidBytecode(String),
 }
 
 impl fmt::Display for RunError {
@@ -94,6 +98,7 @@ impl fmt::Display for RunError {
             RunError::NoMain => write!(f, "program has no `main` function"),
             RunError::OutOfFuel => write!(f, "fuel exhausted (possible infinite loop)"),
             RunError::Name(e) => write!(f, "{e}"),
+            RunError::InvalidBytecode(e) => write!(f, "invalid bytecode: {e}"),
         }
     }
 }
@@ -118,7 +123,11 @@ pub enum Engine {
     /// The tree-walking AST interpreter — the differential reference.
     Ast,
     /// The register-bytecode compiler + VM — same observable behaviour,
-    /// ~10x the host throughput (see `BENCH_interpperf.json`).
+    /// about 7.5x the host throughput on the ghttpd keep-alive loop
+    /// (`engines.ghttpd-keepalive/speedup` in `perf/ledger-host.json`: the
+    /// ratio of the two engines' median wall times, 6.0x–9.0x across seven
+    /// ledger runs on a shared 2-core host, short of the 10x floor the
+    /// ledger checks).
     Bytecode,
 }
 

@@ -40,11 +40,16 @@ struct Vm<'p, 'm, 'b> {
 /// global indexes are in range, jump targets stay inside the function,
 /// call sites reference real functions with matching argument counts, and
 /// the code is non-empty with an unconditional terminator last — so
-/// straight-line execution can never run off the end. `compile` output
-/// satisfies this by construction; hand-built programs are rejected here.
+/// straight-line execution can never run off the end — and `main` names a
+/// real function. `compile` output satisfies this by construction;
+/// hand-built programs are rejected here.
 ///
 /// One O(code) pass per run, amortized over every executed instruction.
 fn verify(prog: &BcProgram) -> Result<(), String> {
+    if prog.main.is_some_and(|m| m as usize >= prog.funcs.len()) {
+        let n = prog.funcs.len();
+        return Err(format!("main index {:?} out of {n} functions", prog.main));
+    }
     for f in &prog.funcs {
         let n = f.nslots;
         let len = f.code.len() as u32;
@@ -198,20 +203,17 @@ fn verify(prog: &BcProgram) -> Result<(), String> {
 ///
 /// # Errors
 /// See [`RunError`]; behaviour (output, steps, simulated clock,
-/// detections, trap provenance) is identical to the AST engine's.
-///
-/// # Panics
-/// If the program fails bytecode verification. [`crate::compile()`] output
-/// always verifies; only a hand-assembled [`BcProgram`] can trip this.
+/// detections, trap provenance) is identical to the AST engine's. A
+/// program that fails bytecode verification is rejected with
+/// [`RunError::InvalidBytecode`] before it runs; [`crate::compile()`]
+/// output always verifies.
 pub fn run_compiled(
     prog: &BcProgram,
     machine: &mut Machine,
     backend: &mut dyn Backend,
     fuel: u64,
 ) -> Result<RunOutcome, RunError> {
-    if let Err(e) = verify(prog) {
-        panic!("invalid bytecode (hand-assembled program or compiler bug): {e}");
-    }
+    verify(prog).map_err(RunError::InvalidBytecode)?;
     let Some(main) = prog.main else {
         return Err(RunError::NoMain);
     };

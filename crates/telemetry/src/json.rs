@@ -155,8 +155,8 @@ impl Json {
         }
     }
 
-    /// Pretty serialization (2-space indent) — what the `BENCH_*.json`
-    /// artifacts use so diffs between PRs stay reviewable.
+    /// Pretty serialization (2-space indent) — what the committed
+    /// `perf/ledger.json` uses so diffs between changes stay reviewable.
     pub fn pretty(&self) -> String {
         let mut out = String::new();
         self.write_pretty(&mut out, 0);

@@ -5,7 +5,7 @@
 //! component, and §4.3 measures address-space wastage per connection. This
 //! crate gives every layer of the reproduction one API for producing those
 //! series, instead of ad-hoc counters scattered through `vmm`, `pool` and
-//! the bench binaries:
+//! the evaluation ledger:
 //!
 //! * [`EventRing`] — a fixed-capacity, allocation-free ring buffer of
 //!   [`Event`]s (every simulated `mmap`/`mremap`/`mprotect`/`munmap`,
@@ -17,21 +17,17 @@
 //! * [`TrapReport`] — a structured dangling-use report (allocation site,
 //!   free site, use site, trailing event context) that serializes to JSON
 //!   and parses back.
-//! * [`Artifact`] — the `BENCH_<name>.json` export layer used by every
-//!   bench binary; subsequent perf PRs regress against these files.
 //!
 //! The whole crate is dependency-free (hand-rolled [`json`] layer) and
 //! near-zero cost when disabled: [`Telemetry::record`] is a single branch
 //! when [`TelemetryConfig::enabled`] is false.
 
-pub mod artifact;
 pub mod json;
 pub mod metrics;
 pub mod report;
 pub mod ring;
 pub mod span;
 
-pub use artifact::Artifact;
 pub use json::{Json, JsonError};
 pub use metrics::{
     CounterHandle, Histogram, HistogramHandle, HistogramSnapshot, MetricsRegistry,

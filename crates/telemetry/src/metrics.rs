@@ -4,7 +4,7 @@
 //! every series behind Tables 1–3 (syscalls by kind, TLB misses, pages
 //! protected, shadow-VA consumed, pool free-list hit rate, per-pool
 //! wastage) is a named counter or histogram here, snapshotted into the
-//! `BENCH_*.json` artifacts. Hot paths register once and keep an integer
+//! ledger's per-run rows. Hot paths register once and keep an integer
 //! [`CounterHandle`]; convenience paths use `add_named` (linear scan over
 //! a handful of names — fine at simulator speeds).
 

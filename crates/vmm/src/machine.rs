@@ -201,7 +201,7 @@ struct Core {
     ltc_entry: Entry,
     /// Cycles this core spent in kernel crossings (syscall charges plus
     /// received shootdown IPIs) and in TLB/L1 miss penalties — the
-    /// per-core decomposition the `shardperf` artifact reports.
+    /// per-core decomposition the ledger's `shards` cell reports.
     syscall_cycles: u64,
     penalty_cycles: u64,
 }
@@ -361,15 +361,20 @@ impl Machine {
     }
 
     /// The single clock funnel: **every** simulated-cycle charge in the
-    /// machine routes through here (remote shootdown-IPI service time is
-    /// the one exception — it lands directly on the *remote* core's
-    /// clock), so on a single-core machine the flight recorder's
-    /// attribution table sums to the clock exactly (±0). Tracing never
-    /// adds simulated cycles — the charge call is host-side bookkeeping
-    /// only.
+    /// machine routes through here, so the flight recorder's attribution
+    /// table sums to the summed core clocks exactly (±0) at every core
+    /// count. Tracing never adds simulated cycles — the charge call is
+    /// host-side bookkeeping only.
     #[inline]
     fn advance(&mut self, cycles: u64, charge: Charge) {
-        let core = &mut self.cores[self.active];
+        self.advance_core(self.active, cycles, charge);
+    }
+
+    /// [`Machine::advance`] on an explicit core: the active core for
+    /// ordinary charges, a remote core for shootdown-IPI service time.
+    #[inline]
+    fn advance_core(&mut self, core: usize, cycles: u64, charge: Charge) {
+        let core = &mut self.cores[core];
         core.clock += cycles;
         match charge {
             Charge::Syscall => core.syscall_cycles += cycles,
@@ -384,8 +389,9 @@ impl Machine {
     /// Models the TLB-shootdown round a mapping-mutating syscall performs
     /// on an SMP machine: the initiating (active) core pays one IPI-send
     /// charge per remote core, and every remote core's clock absorbs the
-    /// interrupt-service cost. A strict no-op on a single-core machine,
-    /// which keeps `cores = 1` byte-identical to the historical model.
+    /// interrupt-service cost as a syscall charge. A strict no-op on a
+    /// single-core machine, which keeps `cores = 1` byte-identical to the
+    /// historical model.
     fn charge_shootdown(&mut self) {
         let n = self.cores.len();
         if n <= 1 {
@@ -393,11 +399,9 @@ impl Machine {
         }
         self.stats.shootdown_ipis += (n - 1) as u64;
         self.advance(self.config.cost.ipi_send * (n - 1) as u64, Charge::Syscall);
-        for (i, core) in self.cores.iter_mut().enumerate() {
-            if i != self.active {
-                core.clock += self.config.cost.ipi_recv;
-                core.syscall_cycles += self.config.cost.ipi_recv;
-            }
+        let active = self.active;
+        for core in (0..n).filter(|&c| c != active) {
+            self.advance_core(core, self.config.cost.ipi_recv, Charge::Syscall);
         }
     }
 

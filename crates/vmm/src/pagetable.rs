@@ -9,7 +9,7 @@
 //!   (present bit, protection bits, frame number), keeping each leaf a
 //!   flat cache-friendly `4096 × 8 B` block.
 //! * [`PageTableImpl::Reference`] — the original flat
-//!   `HashMap<u64, u64>`, kept so the `simperf` bench and the
+//!   `HashMap<u64, u64>`, kept so the ledger's `page_tables` cell and the
 //!   differential property tests can A/B the optimized path against the
 //!   reference one on identical inputs.
 //!
@@ -29,7 +29,7 @@ use crate::machine::Protection;
 pub enum PageTableImpl {
     /// The original flat `HashMap` page table (no last-translation
     /// cache). Kept as the baseline for differential testing and the
-    /// `simperf` speedup measurement.
+    /// ledger's `page_tables` speedup measurement.
     Reference,
     /// Multi-level radix page table with a one-entry last-translation
     /// cache in front (the default).

@@ -188,7 +188,8 @@ fn run_case(rng: &mut TestRng, nops: usize, case: u64) {
 /// machine driven through identical randomized syscall/access sequences
 /// must produce identical results — every `Ok`/`Trap`, the simulated
 /// clock, the full `MachineStats`, and the TLB counters. This is the
-/// guarantee that lets `simperf` call its speedup "free".
+/// guarantee that lets the ledger's `page_tables` cell call its speedup
+/// "free".
 #[test]
 fn radix_machine_is_bit_identical_to_reference() {
     use crate::cache::CacheConfig;

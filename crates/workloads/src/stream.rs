@@ -1,10 +1,10 @@
 //! A `dd`-style block-streaming workload exercising the bulk memory ops.
 //!
 //! Not part of any paper table (Tables 1–3 predate the bulk API and must
-//! stay cycle-identical), so it lives outside the suites. `simperf` uses
-//! it to exercise the page-chunked transfer path end to end, and the
-//! cross-backend checksum test below proves the bulk ops don't change
-//! program semantics under any scheme.
+//! stay cycle-identical), so it lives outside the suites. It exercises the
+//! page-chunked transfer path end to end, and the cross-backend checksum
+//! test below proves the bulk ops don't change program semantics under
+//! any scheme.
 //!
 //! The shape is classic `dd if=... of=... conv=swab`: read a block,
 //! transform it, write it out, with a handful of scratch buffers

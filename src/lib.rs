@@ -30,7 +30,7 @@
 //!   comparators;
 //! * [`workloads`] — the calibrated evaluation programs of Tables 1–3;
 //! * [`telemetry`] — the event ring, metrics registry, structured trap
-//!   reports, and the `BENCH_*.json` artifact writer.
+//!   reports, and the span tracer's cycle attribution.
 //!
 //! ## Quick start
 //!
@@ -55,8 +55,9 @@
 //! # }
 //! ```
 //!
-//! See `examples/` for runnable scenarios and `cargo run -p dangle-bench
-//! --bin table1` (etc.) for the paper's evaluation tables.
+//! See `examples/` for runnable scenarios and `cargo run --release -p
+//! dangle-bench --bin ledger` for the paper's evaluation tables (written to
+//! `perf/ledger.json`).
 
 pub use dangle_apa as apa;
 pub use dangle_baselines as baselines;
