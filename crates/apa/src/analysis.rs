@@ -96,9 +96,16 @@ pub struct HeapClass {
     pub elem_size: usize,
 }
 
-/// Results of the points-to / escape analysis consumed by the transform.
+/// Results of the points-to / escape analysis consumed by the transform,
+/// plus the program's call graph (the callee map), which the analysis
+/// builds for requirement propagation and the interprocedural lint
+/// condenses ([`crate::CallGraph`]).
 #[derive(Debug, Default)]
 pub struct Analysis {
+    /// function -> the defined functions it calls directly (MiniC has no
+    /// function pointers). Calls to undefined names are a validation
+    /// error and carry no edge; the lint gives them its opaque fallback.
+    pub callees: HashMap<String, HashSet<String>>,
     /// Heap classes, indexed by class id.
     pub classes: Vec<HeapClass>,
     /// malloc site id -> class id.
@@ -223,21 +230,6 @@ impl<'p> Builder<'p> {
     /// Declared type of `name` in the current function (params shadow
     /// globals; conflicting shadowed declarations answer pointer-ish).
     fn var_type(&self, name: &str) -> Option<Type> {
-        fn decls(stmts: &[Stmt], name: &str, out: &mut Vec<Type>) {
-            for s in stmts {
-                match s {
-                    Stmt::VarDecl { name: n, ty, .. } if n == name => {
-                        out.push(ty.clone())
-                    }
-                    Stmt::If { then, els, .. } => {
-                        decls(then, name, out);
-                        decls(els, name, out);
-                    }
-                    Stmt::While { body, .. } => decls(body, name, out),
-                    _ => {}
-                }
-            }
-        }
         if let Some(f) = self.prog.func(&self.current_func) {
             for (p, ty) in &f.params {
                 if p == name {
@@ -245,7 +237,10 @@ impl<'p> Builder<'p> {
                 }
             }
             let mut found = Vec::new();
-            decls(&f.body, name, &mut found);
+            walk_stmts(&f.body, &mut |s| match s {
+                Stmt::VarDecl { name: n, ty, .. } if n == name => found.push(ty.clone()),
+                _ => {}
+            });
             if !found.is_empty() {
                 if found.iter().any(Type::is_ptr) {
                     return found.into_iter().find(Type::is_ptr);
@@ -420,133 +415,37 @@ impl<'p> Builder<'p> {
     }
 }
 
-/// Which functions contain `malloc`/`free` sites of each class (direct
-/// needs, before call-graph propagation).
-fn direct_needs(prog: &Program, site_class: &HashMap<u32, usize>, free_class: &HashMap<u32, usize>) -> HashMap<String, HashSet<usize>> {
-    fn walk_expr(e: &Expr, out: &mut Vec<u32>) {
-        match e {
-            Expr::Malloc { site, .. } => out.push(*site),
-            Expr::MallocArray { site, count, .. } => {
-                out.push(*site);
-                walk_expr(count, out);
-            }
-            Expr::Index { base, index } => {
-                walk_expr(base, out);
-                walk_expr(index, out);
-            }
-            Expr::Field { base, .. } => walk_expr(base, out),
-            Expr::Binary { lhs, rhs, .. } => {
-                walk_expr(lhs, out);
-                walk_expr(rhs, out);
-            }
-            Expr::Call { args, .. } => args.iter().for_each(|a| walk_expr(a, out)),
-            _ => {}
-        }
-    }
-    fn walk(stmts: &[Stmt], mallocs: &mut Vec<u32>, frees: &mut Vec<u32>) {
-        for s in stmts {
-            match s {
-                Stmt::VarDecl { init: Some(e), .. } => walk_expr(e, mallocs),
-                Stmt::Assign { lhs, rhs } => {
-                    if let LValue::Field { base, .. } = lhs {
-                        walk_expr(base, mallocs);
-                    }
-                    walk_expr(rhs, mallocs);
-                }
-                Stmt::Free { expr, site, .. } => {
-                    frees.push(*site);
-                    walk_expr(expr, mallocs);
-                }
-                Stmt::If { cond, then, els } => {
-                    walk_expr(cond, mallocs);
-                    walk(then, mallocs, frees);
-                    walk(els, mallocs, frees);
-                }
-                Stmt::While { cond, body } => {
-                    walk_expr(cond, mallocs);
-                    walk(body, mallocs, frees);
-                }
-                Stmt::Return(Some(e)) | Stmt::Print(e) | Stmt::ExprStmt(e) => {
-                    walk_expr(e, mallocs)
-                }
-                _ => {}
-            }
-        }
-    }
+/// Each function's direct needs (the classes of its own `malloc`/`free`
+/// sites, before call-graph propagation) and its direct callees among the
+/// defined functions.
+fn needs_and_callees(
+    prog: &Program,
+    site_class: &HashMap<u32, usize>,
+    free_class: &HashMap<u32, usize>,
+) -> (HashMap<String, HashSet<usize>>, HashMap<String, HashSet<String>>) {
+    let defined: HashSet<&str> = prog.funcs.iter().map(|f| f.name.as_str()).collect();
     let mut needs: HashMap<String, HashSet<usize>> = HashMap::new();
+    let mut callees: HashMap<String, HashSet<String>> = HashMap::new();
     for f in &prog.funcs {
-        let (mut mallocs, mut frees) = (Vec::new(), Vec::new());
-        walk(&f.body, &mut mallocs, &mut frees);
         let entry = needs.entry(f.name.clone()).or_default();
-        for m in mallocs {
-            if let Some(&c) = site_class.get(&m) {
-                entry.insert(c);
+        walk_stmts(&f.body, &mut |s| {
+            if let Stmt::Free { site, .. } = s {
+                entry.extend(free_class.get(site));
             }
-        }
-        for fr in frees {
-            if let Some(&c) = free_class.get(&fr) {
-                entry.insert(c);
+        });
+        let mut cs = HashSet::new();
+        walk_exprs(&f.body, &mut |e| match e {
+            Expr::Malloc { site, .. } | Expr::MallocArray { site, .. } => {
+                entry.extend(site_class.get(site));
             }
-        }
-    }
-    needs
-}
-
-/// Call graph: function -> callees (direct calls only; MiniC has no
-/// function pointers).
-pub fn call_graph(prog: &Program) -> HashMap<String, HashSet<String>> {
-    fn walk_expr(e: &Expr, out: &mut HashSet<String>) {
-        match e {
-            Expr::Call { callee, args, .. } => {
-                out.insert(callee.clone());
-                args.iter().for_each(|a| walk_expr(a, out));
-            }
-            Expr::MallocArray { count, .. } => walk_expr(count, out),
-            Expr::Index { base, index } => {
-                walk_expr(base, out);
-                walk_expr(index, out);
-            }
-            Expr::Field { base, .. } => walk_expr(base, out),
-            Expr::Binary { lhs, rhs, .. } => {
-                walk_expr(lhs, out);
-                walk_expr(rhs, out);
+            Expr::Call { callee, .. } if defined.contains(callee.as_str()) => {
+                cs.insert(callee.clone());
             }
             _ => {}
-        }
+        });
+        callees.insert(f.name.clone(), cs);
     }
-    fn walk(stmts: &[Stmt], out: &mut HashSet<String>) {
-        for s in stmts {
-            match s {
-                Stmt::VarDecl { init: Some(e), .. } => walk_expr(e, out),
-                Stmt::Assign { lhs, rhs } => {
-                    if let LValue::Field { base, .. } = lhs {
-                        walk_expr(base, out);
-                    }
-                    walk_expr(rhs, out);
-                }
-                Stmt::Free { expr, .. } => walk_expr(expr, out),
-                Stmt::If { cond, then, els } => {
-                    walk_expr(cond, out);
-                    walk(then, out);
-                    walk(els, out);
-                }
-                Stmt::While { cond, body } => {
-                    walk_expr(cond, out);
-                    walk(body, out);
-                }
-                Stmt::Return(Some(e)) | Stmt::Print(e) | Stmt::ExprStmt(e) => walk_expr(e, out),
-                _ => {}
-            }
-        }
-    }
-    prog.funcs
-        .iter()
-        .map(|f| {
-            let mut callees = HashSet::new();
-            walk(&f.body, &mut callees);
-            (f.name.clone(), callees)
-        })
-        .collect()
+    (needs, callees)
 }
 
 /// Runs the full analysis over `prog`.
@@ -580,63 +479,14 @@ pub fn analyze(prog: &Program) -> Analysis {
     sites.sort_unstable();
     // Map site -> struct size for elem hints.
     let mut site_size: HashMap<u32, usize> = HashMap::new();
-    {
-        fn walk_expr(e: &Expr, prog: &Program, out: &mut HashMap<u32, usize>) {
-            match e {
-                Expr::Malloc { site, struct_name, .. } => {
-                    let sz = prog.struct_def(struct_name).map_or(8, StructDef::size);
-                    out.insert(*site, sz);
-                }
-                Expr::MallocArray { site, struct_name, count, .. } => {
-                    let sz = prog.struct_def(struct_name).map_or(8, StructDef::size);
-                    out.insert(*site, sz);
-                    walk_expr(count, prog, out);
-                }
-                Expr::Index { base, index } => {
-                    walk_expr(base, prog, out);
-                    walk_expr(index, prog, out);
-                }
-                Expr::Field { base, .. } => walk_expr(base, prog, out),
-                Expr::Binary { lhs, rhs, .. } => {
-                    walk_expr(lhs, prog, out);
-                    walk_expr(rhs, prog, out);
-                }
-                Expr::Call { args, .. } => {
-                    args.iter().for_each(|a| walk_expr(a, prog, out))
-                }
-                _ => {}
+    for f in &prog.funcs {
+        walk_exprs(&f.body, &mut |e| {
+            if let Expr::Malloc { site, struct_name, .. }
+            | Expr::MallocArray { site, struct_name, .. } = e
+            {
+                site_size.insert(*site, prog.struct_def(struct_name).map_or(8, StructDef::size));
             }
-        }
-        fn walk(stmts: &[Stmt], prog: &Program, out: &mut HashMap<u32, usize>) {
-            for s in stmts {
-                match s {
-                    Stmt::VarDecl { init: Some(e), .. } => walk_expr(e, prog, out),
-                    Stmt::Assign { lhs, rhs } => {
-                        if let LValue::Field { base, .. } = lhs {
-                            walk_expr(base, prog, out);
-                        }
-                        walk_expr(rhs, prog, out);
-                    }
-                    Stmt::Free { expr, .. } => walk_expr(expr, prog, out),
-                    Stmt::If { cond, then, els } => {
-                        walk_expr(cond, prog, out);
-                        walk(then, prog, out);
-                        walk(els, prog, out);
-                    }
-                    Stmt::While { cond, body } => {
-                        walk_expr(cond, prog, out);
-                        walk(body, prog, out);
-                    }
-                    Stmt::Return(Some(e)) | Stmt::Print(e) | Stmt::ExprStmt(e) => {
-                        walk_expr(e, prog, out)
-                    }
-                    _ => {}
-                }
-            }
-        }
-        for f in &prog.funcs {
-            walk(&f.body, prog, &mut site_size);
-        }
+        });
     }
     for site in sites {
         let obj = b.site_obj[&site];
@@ -704,12 +554,11 @@ pub fn analyze(prog: &Program) -> Analysis {
     }
 
     // Requirement propagation over the call graph, stopping at owners.
-    let needs = direct_needs(prog, &site_class, &free_class);
-    let cg = call_graph(prog);
+    let (needs, callees) = needs_and_callees(prog, &site_class, &free_class);
     let callers: HashMap<String, Vec<String>> = {
         let mut m: HashMap<String, Vec<String>> = HashMap::new();
-        for (caller, callees) in &cg {
-            for callee in callees {
+        for (caller, cs) in &callees {
+            for callee in cs {
                 m.entry(callee.clone()).or_default().push(caller.clone());
             }
         }
@@ -832,6 +681,7 @@ pub fn analyze(prog: &Program) -> Analysis {
     }
 
     Analysis {
+        callees,
         classes,
         site_class,
         free_class,

@@ -304,62 +304,151 @@ impl Program {
     pub fn func(&self, name: &str) -> Option<&FuncDef> {
         self.funcs.iter().find(|f| f.name == name)
     }
+}
 
-    /// Total number of `malloc` sites (site ids are `0..n`).
-    pub fn count_malloc_sites(&self) -> u32 {
-        fn walk_expr(e: &Expr, n: &mut u32) {
-            match e {
-                Expr::Malloc { site, .. } => *n = (*n).max(site + 1),
-                Expr::MallocArray { site, count, .. } => {
-                    *n = (*n).max(site + 1);
-                    walk_expr(count, n);
-                }
-                Expr::Index { base, index } => {
-                    walk_expr(base, n);
-                    walk_expr(index, n);
-                }
-                Expr::Field { base, .. } => walk_expr(base, n),
-                Expr::Binary { lhs, rhs, .. } => {
-                    walk_expr(lhs, n);
-                    walk_expr(rhs, n);
-                }
-                Expr::Call { args, .. } => args.iter().for_each(|a| walk_expr(a, n)),
-                _ => {}
+// The shared traversals. Every pass that collects facts from (or rewrites)
+// the expressions and statements of a body goes through these, so a new
+// `Stmt`, `Expr` or `LValue` variant is handled in one place. They name
+// every variant, so the compiler rejects them until a new one is placed;
+// the denied `_` arm keeps it that way.
+
+/// Visits every statement of `stmts`, nested `if`/`while` bodies
+/// included, in source pre-order (a statement before the statements it
+/// contains).
+#[deny(clippy::wildcard_enum_match_arm)]
+pub fn walk_stmts<'p>(stmts: &'p [Stmt], f: &mut impl FnMut(&'p Stmt)) {
+    for s in stmts {
+        f(s);
+        match s {
+            Stmt::If { then, els, .. } => {
+                walk_stmts(then, f);
+                walk_stmts(els, f);
             }
+            Stmt::While { body, .. } => walk_stmts(body, f),
+            Stmt::VarDecl { .. }
+            | Stmt::Assign { .. }
+            | Stmt::Free { .. }
+            | Stmt::Return(_)
+            | Stmt::Print(_)
+            | Stmt::ExprStmt(_)
+            | Stmt::PoolInit { .. }
+            | Stmt::PoolDestroy { .. } => {}
         }
-        fn walk_stmts(stmts: &[Stmt], n: &mut u32) {
-            for s in stmts {
-                match s {
-                    Stmt::VarDecl { init: Some(e), .. } => walk_expr(e, n),
-                    Stmt::VarDecl { init: None, .. } => {}
-                    Stmt::Assign { lhs, rhs } => {
-                        if let LValue::Field { base, .. } = lhs {
-                            walk_expr(base, n);
-                        }
-                        walk_expr(rhs, n);
-                    }
-                    Stmt::Free { expr, .. } => walk_expr(expr, n),
-                    Stmt::If { cond, then, els } => {
-                        walk_expr(cond, n);
-                        walk_stmts(then, n);
-                        walk_stmts(els, n);
-                    }
-                    Stmt::While { cond, body } => {
-                        walk_expr(cond, n);
-                        walk_stmts(body, n);
-                    }
-                    Stmt::Return(Some(e)) | Stmt::Print(e) | Stmt::ExprStmt(e) => {
-                        walk_expr(e, n)
-                    }
-                    _ => {}
+    }
+}
+
+/// Visits every expression of `stmts`, sub-expressions and nested bodies
+/// included, in source pre-order: a statement's own operands (an `if`'s
+/// or `while`'s condition first) before its nested statements, and an
+/// expression before its operands.
+#[deny(clippy::wildcard_enum_match_arm)]
+pub fn walk_exprs<'p>(stmts: &'p [Stmt], f: &mut impl FnMut(&'p Expr)) {
+    for s in stmts {
+        match s {
+            Stmt::VarDecl { init, .. } | Stmt::Return(init) => {
+                if let Some(e) = init {
+                    walk_expr(e, f);
                 }
             }
+            Stmt::Assign { lhs, rhs } => {
+                match lhs {
+                    LValue::Field { base, .. } => walk_expr(base, f),
+                    LValue::Var(_) => {}
+                }
+                walk_expr(rhs, f);
+            }
+            Stmt::Free { expr: e, .. } | Stmt::Print(e) | Stmt::ExprStmt(e) => walk_expr(e, f),
+            Stmt::If { cond, then, els } => {
+                walk_expr(cond, f);
+                walk_exprs(then, f);
+                walk_exprs(els, f);
+            }
+            Stmt::While { cond, body } => {
+                walk_expr(cond, f);
+                walk_exprs(body, f);
+            }
+            Stmt::PoolInit { .. } | Stmt::PoolDestroy { .. } => {}
         }
-        let mut n = 0;
-        for f in &self.funcs {
-            walk_stmts(&f.body, &mut n);
+    }
+}
+
+/// Visits `e` and every sub-expression of it, in pre-order.
+#[deny(clippy::wildcard_enum_match_arm)]
+pub fn walk_expr<'p>(e: &'p Expr, f: &mut impl FnMut(&'p Expr)) {
+    f(e);
+    match e {
+        Expr::MallocArray { count, .. } => walk_expr(count, f),
+        Expr::Index { base, index } => {
+            walk_expr(base, f);
+            walk_expr(index, f);
         }
-        n
+        Expr::Field { base, .. } => walk_expr(base, f),
+        Expr::Binary { lhs, rhs, .. } => {
+            walk_expr(lhs, f);
+            walk_expr(rhs, f);
+        }
+        Expr::Call { args, .. } => args.iter().for_each(|a| walk_expr(a, f)),
+        Expr::Int(_) | Expr::Null | Expr::Var(_) | Expr::Malloc { .. } => {}
+    }
+}
+
+/// The `&mut` twin of [`walk_stmts`] and [`walk_exprs`] in one pass:
+/// `on_stmt` sees every statement and `on_expr` every expression, in the
+/// same orders, a statement before its own expressions. Each callback
+/// sees a node before the nodes it contains, so it may rewrite the
+/// node's own fields.
+#[deny(clippy::wildcard_enum_match_arm)]
+pub fn walk_mut(
+    stmts: &mut [Stmt],
+    on_stmt: &mut impl FnMut(&mut Stmt),
+    on_expr: &mut impl FnMut(&mut Expr),
+) {
+    fn expr(e: &mut Expr, f: &mut impl FnMut(&mut Expr)) {
+        f(e);
+        match e {
+            Expr::MallocArray { count, .. } => expr(count, f),
+            Expr::Index { base, index } => {
+                expr(base, f);
+                expr(index, f);
+            }
+            Expr::Field { base, .. } => expr(base, f),
+            Expr::Binary { lhs, rhs, .. } => {
+                expr(lhs, f);
+                expr(rhs, f);
+            }
+            Expr::Call { args, .. } => args.iter_mut().for_each(|a| expr(a, f)),
+            Expr::Int(_) | Expr::Null | Expr::Var(_) | Expr::Malloc { .. } => {}
+        }
+    }
+    for s in stmts {
+        on_stmt(s);
+        match s {
+            Stmt::VarDecl { init, .. } | Stmt::Return(init) => {
+                if let Some(e) = init {
+                    expr(e, on_expr);
+                }
+            }
+            Stmt::Assign { lhs, rhs } => {
+                match lhs {
+                    LValue::Field { base, .. } => expr(base, on_expr),
+                    LValue::Var(_) => {}
+                }
+                expr(rhs, on_expr);
+            }
+            Stmt::Free { expr: e, .. } | Stmt::Print(e) | Stmt::ExprStmt(e) => {
+                expr(e, on_expr)
+            }
+            Stmt::If { cond, then, els } => {
+                expr(cond, on_expr);
+                walk_mut(then, on_stmt, on_expr);
+                walk_mut(els, on_stmt, on_expr);
+            }
+            Stmt::While { cond, body } => {
+                expr(cond, on_expr);
+                walk_mut(body, on_stmt, on_expr);
+            }
+            Stmt::PoolInit { .. } | Stmt::PoolDestroy { .. } => {}
+        }
     }
 }
 
@@ -391,38 +480,78 @@ mod tests {
         assert!(!Type::Int.is_ptr());
     }
 
+    /// The name `tN` of the next tagged call; tags number calls in
+    /// source order.
+    fn tag(n: &mut u32) -> String {
+        *n += 1;
+        format!("t{}", *n - 1)
+    }
+
+    /// A body holding a tagged call in every expression position.
+    fn tagged_body(n: &mut u32) -> String {
+        let mut t = || tag(n);
+        format!(
+            "var a: ptr<s> = malloc_array(s, {}());
+             {}()[{}()]->v = {}()->v + {}({}(), {}());
+             free({}());
+             if ({}()) {{ print({}()); }} else {{ {}(); }}
+             while ({}()) {{ return {}(); }}",
+            t(), t(), t(), t(), t(), t(), t(), t(), t(), t(), t(), t(), t()
+        )
+    }
+
+    fn kind(s: &Stmt) -> String {
+        format!("{s:?}").split(|c: char| !c.is_alphanumeric()).next().unwrap().to_string()
+    }
+
     #[test]
-    fn malloc_site_counting() {
-        let p = Program {
-            structs: vec![],
-            globals: vec![],
-            funcs: vec![FuncDef {
-                name: "main".into(),
-                params: vec![],
-                pool_params: vec![],
-                ret: None,
-                body: vec![
-                    Stmt::VarDecl {
-                        name: "x".into(),
-                        ty: Type::Ptr("s".into()),
-                        init: Some(Expr::Malloc {
-                            struct_name: "s".into(),
-                            pool: None,
-                            site: 0,
-                            unchecked: false,
-                            span: Span::NONE,
-                        }),
-                    },
-                    Stmt::ExprStmt(Expr::Malloc {
-                        struct_name: "s".into(),
-                        pool: None,
-                        site: 1,
-                        unchecked: false,
-                        span: Span::NONE,
-                    }),
-                ],
-            }],
-        };
-        assert_eq!(p.count_malloc_sites(), 2);
+    fn walkers_visit_every_position_once_in_source_pre_order() {
+        let mut n = 0;
+        let src = format!(
+            "struct s {{ next: ptr<s>, v: int }}
+             fn main() {{
+                 if ({}()) {{ {} }} else {{ {} }}
+                 while ({}()) {{ {} }}
+             }}",
+            tag(&mut n),
+            tagged_body(&mut n),
+            tagged_body(&mut n),
+            tag(&mut n),
+            tagged_body(&mut n)
+        );
+        let mut prog = crate::parse::parse(&src).unwrap();
+        let want: Vec<String> = (0..n).map(|i| format!("t{i}")).collect();
+        assert_eq!(n, 3 * 13 + 2);
+
+        let mut calls = Vec::new();
+        walk_exprs(&prog.funcs[0].body, &mut |e| {
+            if let Expr::Call { callee, .. } = e {
+                calls.push(callee.clone());
+            }
+        });
+        assert_eq!(calls, want);
+
+        let mut kinds = Vec::new();
+        walk_stmts(&prog.funcs[0].body, &mut |s| kinds.push(kind(s)));
+        let body = ["VarDecl", "Assign", "Free", "If", "Print", "ExprStmt", "While", "Return"];
+        let mut want_kinds = vec!["If"];
+        want_kinds.extend(body);
+        want_kinds.extend(body);
+        want_kinds.push("While");
+        want_kinds.extend(body);
+        assert_eq!(kinds, want_kinds);
+
+        let (mut mut_kinds, mut mut_calls) = (Vec::new(), Vec::new());
+        walk_mut(
+            &mut prog.funcs[0].body,
+            &mut |s| mut_kinds.push(kind(s)),
+            &mut |e| {
+                if let Expr::Call { callee, .. } = e {
+                    mut_calls.push(callee.clone());
+                }
+            },
+        );
+        assert_eq!(mut_kinds, want_kinds);
+        assert_eq!(mut_calls, want);
     }
 }

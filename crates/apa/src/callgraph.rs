@@ -7,14 +7,14 @@
 //! (Tarjan); members of a non-trivial SCC are iterated to a joint
 //! fixpoint and widened if the iteration budget runs out.
 
-use crate::analysis::call_graph;
-use crate::ast::Program;
+use crate::ast::{walk_stmts, Program, Stmt};
 use std::collections::{HashMap, HashSet};
 
 /// SCC-condensed call graph in bottom-up order.
-pub struct CallGraph {
-    /// function -> direct callees (defined functions only).
-    pub callees: HashMap<String, HashSet<String>>,
+pub struct CallGraph<'a> {
+    /// function -> direct callees (defined functions only), as
+    /// [`crate::Analysis::callees`] holds them.
+    pub callees: &'a HashMap<String, HashSet<String>>,
     /// Strongly connected components in reverse topological order:
     /// every function called by `sccs[i]` lives in `sccs[j]` with `j <= i`.
     pub sccs: Vec<Vec<String>>,
@@ -22,22 +22,15 @@ pub struct CallGraph {
     pub scc_of: HashMap<String, usize>,
 }
 
-impl CallGraph {
-    /// Builds the condensation for `prog`.
-    pub fn build(prog: &Program) -> CallGraph {
-        // Restrict edges to defined functions; calls to undefined names are
-        // a validation error and get the opaque fallback during lint.
-        let defined: HashSet<&str> = prog.funcs.iter().map(|f| f.name.as_str()).collect();
-        let mut callees = call_graph(prog);
-        for cs in callees.values_mut() {
-            cs.retain(|c| defined.contains(c.as_str()));
-        }
-
+impl<'a> CallGraph<'a> {
+    /// Condenses `callees`, the callee map [`crate::analyze`] built for
+    /// `prog`.
+    pub fn build(prog: &Program, callees: &'a HashMap<String, HashSet<String>>) -> CallGraph<'a> {
         // Tarjan over a stable function order (program order) so the SCC
         // numbering — and therefore summary iteration — is deterministic.
         let order: Vec<&str> = prog.funcs.iter().map(|f| f.name.as_str()).collect();
         let mut t = Tarjan {
-            callees: &callees,
+            callees,
             index: HashMap::new(),
             low: HashMap::new(),
             on_stack: HashSet::new(),
@@ -80,7 +73,11 @@ impl CallGraph {
         let mut direct: HashMap<String, HashSet<u32>> = HashMap::new();
         for f in &prog.funcs {
             let mut sites = HashSet::new();
-            collect_free_sites(&f.body, &mut sites);
+            walk_stmts(&f.body, &mut |s| {
+                if let Stmt::Free { site, .. } = s {
+                    sites.insert(*site);
+                }
+            });
             direct.insert(f.name.clone(), sites);
         }
         // Propagate along SCCs bottom-up; within an SCC iterate to fixpoint
@@ -168,23 +165,6 @@ impl Tarjan<'_> {
     }
 }
 
-fn collect_free_sites(stmts: &[crate::ast::Stmt], out: &mut HashSet<u32>) {
-    use crate::ast::Stmt;
-    for s in stmts {
-        match s {
-            Stmt::Free { site, .. } => {
-                out.insert(*site);
-            }
-            Stmt::If { then, els, .. } => {
-                collect_free_sites(then, out);
-                collect_free_sites(els, out);
-            }
-            Stmt::While { body, .. } => collect_free_sites(body, out),
-            _ => {}
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,7 +181,8 @@ mod tests {
              fn main() { print(even(4) + selfy(3)); }",
         )
         .unwrap();
-        let cg = CallGraph::build(&prog);
+        let a = crate::analyze(&prog);
+        let cg = CallGraph::build(&prog, &a.callees);
         // even/odd share one SCC; it precedes main's.
         assert_eq!(cg.scc_of["even"], cg.scc_of["odd"]);
         assert!(cg.scc_of["even"] < cg.scc_of["main"]);
@@ -222,7 +203,8 @@ mod tests {
              fn main() { var p: ptr<s> = malloc(s); outer(p); }",
         )
         .unwrap();
-        let cg = CallGraph::build(&prog);
+        let a = crate::analyze(&prog);
+        let cg = CallGraph::build(&prog, &a.callees);
         let tf = cg.transitive_free_sites(&prog);
         assert_eq!(tf["inner"], [0].into_iter().collect());
         assert_eq!(tf["outer"], [0].into_iter().collect());

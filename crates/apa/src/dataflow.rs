@@ -595,7 +595,7 @@ pub fn lint_with_mode(prog: &Program, analysis: &Analysis, mode: LintMode) -> Li
             }
         }
         LintMode::Inter => {
-            let cg = CallGraph::build(prog);
+            let cg = CallGraph::build(prog, &analysis.callees);
             l.transitive_frees = cg.transitive_free_sites(prog);
             // Phase A: bottom-up summary fixpoint, claims disabled.
             for scc in &cg.sccs {
@@ -673,151 +673,64 @@ pub fn lint_with_mode(prog: &Program, analysis: &Analysis, mode: LintMode) -> Li
 /// one — site ids are preserved by the transform).
 pub fn stamp_unchecked(prog: &mut Program, report: &LintReport) {
     for f in &mut prog.funcs {
-        stamp_stmts(&mut f.body, report);
-    }
-}
-
-fn stamp_stmts(stmts: &mut [Stmt], r: &LintReport) {
-    for s in stmts {
-        match s {
-            Stmt::VarDecl { init: Some(e), .. } => stamp_expr(e, r),
-            Stmt::VarDecl { init: None, .. } => {}
-            Stmt::Assign { lhs, rhs } => {
-                if let LValue::Field { base, .. } = lhs {
-                    stamp_expr(base, r);
+        walk_mut(
+            &mut f.body,
+            &mut |s| {
+                if let Stmt::Free { site, unchecked, .. } = s {
+                    *unchecked = report.unchecked_free_sites.contains(site);
                 }
-                stamp_expr(rhs, r);
-            }
-            Stmt::Free { expr, site, unchecked, .. } => {
-                stamp_expr(expr, r);
-                *unchecked = r.unchecked_free_sites.contains(site);
-            }
-            Stmt::If { cond, then, els } => {
-                stamp_expr(cond, r);
-                stamp_stmts(then, r);
-                stamp_stmts(els, r);
-            }
-            Stmt::While { cond, body } => {
-                stamp_expr(cond, r);
-                stamp_stmts(body, r);
-            }
-            Stmt::Return(Some(e)) | Stmt::Print(e) | Stmt::ExprStmt(e) => {
-                stamp_expr(e, r)
-            }
-            Stmt::Return(None) | Stmt::PoolInit { .. } | Stmt::PoolDestroy { .. } => {}
-        }
-    }
-}
-
-fn stamp_expr(e: &mut Expr, r: &LintReport) {
-    match e {
-        Expr::Malloc { site, unchecked, .. } => {
-            *unchecked = r.unchecked_malloc_sites.contains(site);
-        }
-        Expr::MallocArray { site, count, unchecked, .. } => {
-            stamp_expr(count, r);
-            *unchecked = r.unchecked_malloc_sites.contains(site);
-        }
-        Expr::Index { base, index } => {
-            stamp_expr(base, r);
-            stamp_expr(index, r);
-        }
-        Expr::Field { base, .. } => stamp_expr(base, r),
-        Expr::Binary { lhs, rhs, .. } => {
-            stamp_expr(lhs, r);
-            stamp_expr(rhs, r);
-        }
-        Expr::Call { args, .. } => args.iter_mut().for_each(|a| stamp_expr(a, r)),
-        Expr::Int(_) | Expr::Null | Expr::Var(_) => {}
+            },
+            &mut |e| {
+                if let Expr::Malloc { site, unchecked, .. }
+                | Expr::MallocArray { site, unchecked, .. } = e
+                {
+                    *unchecked = report.unchecked_malloc_sites.contains(site);
+                }
+            },
+        );
     }
 }
 
 /// Pre-pass: every free site starts `ProvablySafe` and is only ever
 /// demoted; record its function and span for diagnostics.
 fn collect_free_sites(prog: &Program, r: &mut LintReport) {
-    fn walk(stmts: &[Stmt], func: &str, r: &mut LintReport) {
-        for s in stmts {
-            match s {
-                Stmt::Free { site, span, .. } => {
-                    r.verdicts.insert(*site, Verdict::ProvablySafe);
-                    r.site_info.insert(*site, (func.to_string(), *span));
-                }
-                Stmt::If { then, els, .. } => {
-                    walk(then, func, r);
-                    walk(els, func, r);
-                }
-                Stmt::While { body, .. } => walk(body, func, r),
-                _ => {}
-            }
-        }
-    }
     for f in &prog.funcs {
-        walk(&f.body, &f.name, r);
+        walk_stmts(&f.body, &mut |s| {
+            if let Stmt::Free { site, span, .. } = s {
+                r.verdicts.insert(*site, Verdict::ProvablySafe);
+                r.site_info.insert(*site, (f.name.clone(), *span));
+            }
+        });
     }
 }
 
-/// Collects every callee mentioned anywhere in an expression (MiniC has no
-/// short-circuit evaluation, so all subexpressions execute).
-fn collect_calls(e: &Expr, out: &mut Vec<String>) {
-    match e {
-        Expr::Call { callee, args, .. } => {
-            out.push(callee.clone());
-            args.iter().for_each(|a| collect_calls(a, out));
-        }
-        Expr::MallocArray { count, .. } => collect_calls(count, out),
-        Expr::Index { base, index } => {
-            collect_calls(base, out);
-            collect_calls(index, out);
-        }
-        Expr::Field { base, .. } => collect_calls(base, out),
-        Expr::Binary { lhs, rhs, .. } => {
-            collect_calls(lhs, out);
-            collect_calls(rhs, out);
-        }
-        _ => {}
-    }
-}
-
+/// Whether any statement of `stmts`, nested bodies included, returns.
 fn contains_return(stmts: &[Stmt]) -> bool {
-    stmts.iter().any(|s| match s {
-        Stmt::Return(_) => true,
-        Stmt::If { then, els, .. } => contains_return(then) || contains_return(els),
-        Stmt::While { body, .. } => contains_return(body),
-        _ => false,
-    })
+    let mut found = false;
+    walk_stmts(stmts, &mut |s| found |= matches!(s, Stmt::Return(_)));
+    found
 }
 
 /// Callees that definitely execute when the block's top level runs:
 /// calls in straight-line statements and in `if`/`while` conditions
-/// (conditions are always evaluated at least once), stopping at the first
-/// statement after which execution becomes conditional.
+/// (conditions are always evaluated at least once; MiniC has no
+/// short-circuit evaluation, so all their subexpressions execute),
+/// stopping at the first statement after which execution becomes
+/// conditional.
 fn definite_callees(stmts: &[Stmt]) -> Vec<String> {
     let mut out = Vec::new();
-    for s in stmts {
-        match s {
-            Stmt::VarDecl { init: Some(e), .. }
-            | Stmt::Print(e)
-            | Stmt::ExprStmt(e)
-            | Stmt::Return(Some(e))
-            | Stmt::Free { expr: e, .. } => collect_calls(e, &mut out),
-            Stmt::Assign { lhs, rhs } => {
-                if let LValue::Field { base, .. } = lhs {
-                    collect_calls(base, &mut out);
-                }
-                collect_calls(rhs, &mut out);
-            }
-            Stmt::If { cond, .. } | Stmt::While { cond, .. } => {
-                collect_calls(cond, &mut out)
-            }
-            _ => {}
+    let mut call = |e: &Expr| {
+        if let Expr::Call { callee, .. } = e {
+            out.push(callee.clone());
         }
-        let diverts = match s {
-            Stmt::Return(_) => true,
-            Stmt::If { then, els, .. } => contains_return(then) || contains_return(els),
-            Stmt::While { body, .. } => contains_return(body),
-            _ => false,
-        };
-        if diverts {
+    };
+    for s in stmts {
+        let one = std::slice::from_ref(s);
+        match s {
+            Stmt::If { cond, .. } | Stmt::While { cond, .. } => walk_expr(cond, &mut call),
+            _ => walk_exprs(one, &mut call),
+        }
+        if contains_return(one) {
             break;
         }
     }

@@ -478,6 +478,20 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::walk_exprs;
+
+    /// Every allocation-site id of `prog`, in source order.
+    fn malloc_sites(prog: &Program) -> Vec<u32> {
+        let mut sites = Vec::new();
+        for f in &prog.funcs {
+            walk_exprs(&f.body, &mut |e| {
+                if let Expr::Malloc { site, .. } | Expr::MallocArray { site, .. } = e {
+                    sites.push(*site);
+                }
+            });
+        }
+        sites
+    }
 
     #[test]
     fn parses_figure_one() {
@@ -486,7 +500,7 @@ mod tests {
         assert_eq!(prog.structs[0].size(), 16);
         assert_eq!(prog.funcs.len(), 7);
         assert!(prog.func("main").is_some());
-        assert_eq!(prog.count_malloc_sites(), 2);
+        assert_eq!(malloc_sites(&prog), [0, 1]);
     }
 
     #[test]
@@ -543,7 +557,7 @@ mod tests {
             "struct s { v: int } fn main() { var a: ptr<s> = malloc(s); var b: ptr<s> = malloc(s); }",
         )
         .unwrap();
-        assert_eq!(prog.count_malloc_sites(), 2);
+        assert_eq!(malloc_sites(&prog), [0, 1]);
     }
 
     #[test]

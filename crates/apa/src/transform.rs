@@ -67,7 +67,18 @@ fn transform_func(f: &mut FuncDef, a: &Analysis) {
     let owned: Vec<usize> = a.owns.get(&f.name).cloned().unwrap_or_default();
 
     let mut body = std::mem::take(&mut f.body);
-    rewrite_stmts(&mut body, a, &owned);
+    walk_mut(
+        &mut body,
+        &mut |s| {
+            if let Stmt::Free { pool, site, .. } = s {
+                if let Some(&cid) = a.free_class.get(site) {
+                    *pool = Some(pool_name(cid));
+                }
+            }
+        },
+        &mut |e| rewrite_expr(e, a),
+    );
+    destroy_before_returns(&mut body, &owned);
 
     let mut new_body: Vec<Stmt> = owned
         .iter()
@@ -86,80 +97,39 @@ fn transform_func(f: &mut FuncDef, a: &Analysis) {
     f.body = new_body;
 }
 
-fn rewrite_stmts(stmts: &mut Vec<Stmt>, a: &Analysis, owned: &[usize]) {
+/// Inserts a `pooldestroy` of every owned pool before each `return`, so
+/// owned pools are destroyed on every exit path.
+fn destroy_before_returns(stmts: &mut Vec<Stmt>, owned: &[usize]) {
     let mut i = 0;
     while i < stmts.len() {
         match &mut stmts[i] {
-            Stmt::VarDecl { init, .. } => {
-                if let Some(e) = init {
-                    rewrite_expr(e, a);
-                }
+            Stmt::If { then, els, .. } => {
+                destroy_before_returns(then, owned);
+                destroy_before_returns(els, owned);
             }
-            Stmt::Assign { lhs, rhs } => {
-                if let LValue::Field { base, .. } = lhs {
-                    rewrite_expr(base, a);
-                }
-                rewrite_expr(rhs, a);
-            }
-            Stmt::Free { expr, pool, site, .. } => {
-                rewrite_expr(expr, a);
-                if let Some(&cid) = a.free_class.get(site) {
-                    *pool = Some(pool_name(cid));
-                }
-            }
-            Stmt::If { cond, then, els } => {
-                rewrite_expr(cond, a);
-                rewrite_stmts(then, a, owned);
-                rewrite_stmts(els, a, owned);
-            }
-            Stmt::While { cond, body } => {
-                rewrite_expr(cond, a);
-                rewrite_stmts(body, a, owned);
-            }
-            Stmt::Return(e) => {
-                if let Some(e) = e {
-                    rewrite_expr(e, a);
-                }
-                // Destroy owned pools on every exit path: insert the
-                // destroys *before* this return.
+            Stmt::While { body, .. } => destroy_before_returns(body, owned),
+            Stmt::Return(_) => {
                 for (k, &cid) in owned.iter().enumerate() {
                     stmts.insert(i + k, Stmt::PoolDestroy { pool: pool_name(cid) });
                 }
                 i += owned.len();
             }
-            Stmt::Print(e) | Stmt::ExprStmt(e) => rewrite_expr(e, a),
-            Stmt::PoolInit { .. } | Stmt::PoolDestroy { .. } => {}
+            _ => {}
         }
         i += 1;
     }
 }
 
+/// Pool-annotates an allocation with its class's pool and threads the
+/// callee's pool parameters through a call.
 fn rewrite_expr(e: &mut Expr, a: &Analysis) {
     match e {
-        Expr::Malloc { pool, site, .. } => {
+        Expr::Malloc { pool, site, .. } | Expr::MallocArray { pool, site, .. } => {
             if let Some(&cid) = a.site_class.get(site) {
                 *pool = Some(pool_name(cid));
             }
         }
-        Expr::MallocArray { pool, site, count, .. } => {
-            rewrite_expr(count, a);
-            if let Some(&cid) = a.site_class.get(site) {
-                *pool = Some(pool_name(cid));
-            }
-        }
-        Expr::Index { base, index } => {
-            rewrite_expr(base, a);
-            rewrite_expr(index, a);
-        }
-        Expr::Field { base, .. } => rewrite_expr(base, a),
-        Expr::Binary { lhs, rhs, .. } => {
-            rewrite_expr(lhs, a);
-            rewrite_expr(rhs, a);
-        }
-        Expr::Call { callee, args, pool_args, .. } => {
-            for arg in args.iter_mut() {
-                rewrite_expr(arg, a);
-            }
+        Expr::Call { callee, pool_args, .. } => {
             *pool_args = a.pool_params_of(callee).into_iter().map(pool_name).collect();
         }
         _ => {}
@@ -173,18 +143,7 @@ mod tests {
 
     fn count_stmts(stmts: &[Stmt], pred: &dyn Fn(&Stmt) -> bool) -> usize {
         let mut n = 0;
-        for s in stmts {
-            if pred(s) {
-                n += 1;
-            }
-            match s {
-                Stmt::If { then, els, .. } => {
-                    n += count_stmts(then, pred) + count_stmts(els, pred);
-                }
-                Stmt::While { body, .. } => n += count_stmts(body, pred),
-                _ => {}
-            }
-        }
+        walk_stmts(stmts, &mut |s| n += usize::from(pred(s)));
         n
     }
 

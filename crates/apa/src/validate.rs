@@ -162,7 +162,7 @@ fn check_free_sites(
     }
     let mut seen: HashMap<u32, Span> = HashMap::new();
     for func in &prog.funcs {
-        walk_frees(&func.body, &mut |s| {
+        walk_stmts(&func.body, &mut |s| {
             let Stmt::Free { expr, site, span, .. } = s else { return };
             if let Some(first) = seen.insert(*site, *span) {
                 errors.push(ValidateError {
@@ -191,69 +191,6 @@ fn check_free_sites(
     }
 }
 
-/// Walks every statement of a body, visiting each `free`.
-fn walk_frees<'p>(stmts: &'p [Stmt], f: &mut impl FnMut(&'p Stmt)) {
-    for s in stmts {
-        match s {
-            Stmt::Free { .. } => f(s),
-            Stmt::If { then, els, .. } => {
-                walk_frees(then, f);
-                walk_frees(els, f);
-            }
-            Stmt::While { body, .. } => walk_frees(body, f),
-            _ => {}
-        }
-    }
-}
-
-/// Walks every statement of a body, visiting each contained expression.
-fn walk_exprs<'p>(stmts: &'p [Stmt], f: &mut impl FnMut(&'p Expr)) {
-    fn expr<'p>(e: &'p Expr, f: &mut impl FnMut(&'p Expr)) {
-        f(e);
-        match e {
-            Expr::MallocArray { count, .. } => expr(count, f),
-            Expr::Index { base, index } => {
-                expr(base, f);
-                expr(index, f);
-            }
-            Expr::Field { base, .. } => expr(base, f),
-            Expr::Binary { lhs, rhs, .. } => {
-                expr(lhs, f);
-                expr(rhs, f);
-            }
-            Expr::Call { args, .. } => {
-                for a in args {
-                    expr(a, f);
-                }
-            }
-            _ => {}
-        }
-    }
-    for s in stmts {
-        match s {
-            Stmt::VarDecl { init: Some(e), .. } => expr(e, f),
-            Stmt::Assign { lhs, rhs } => {
-                if let LValue::Field { base, .. } = lhs {
-                    expr(base, f);
-                }
-                expr(rhs, f);
-            }
-            Stmt::Free { expr: e, .. } => expr(e, f),
-            Stmt::If { cond, then, els } => {
-                expr(cond, f);
-                walk_exprs(then, f);
-                walk_exprs(els, f);
-            }
-            Stmt::While { cond, body } => {
-                expr(cond, f);
-                walk_exprs(body, f);
-            }
-            Stmt::Return(Some(e)) | Stmt::Print(e) | Stmt::ExprStmt(e) => expr(e, f),
-            _ => {}
-        }
-    }
-}
-
 /// Transitive fixpoint of `(function, param index)` pairs where the
 /// function may free its parameter through a free site the analysis could
 /// not class — i.e. the freed pointer's alias class contains no allocation
@@ -272,7 +209,7 @@ fn classless_param_frees(
                 f.params.iter().position(|(p, _)| p == name)
             };
             let mut found: Vec<usize> = Vec::new();
-            walk_frees(&f.body, &mut |s| {
+            walk_stmts(&f.body, &mut |s| {
                 let Stmt::Free { expr: Expr::Var(v), site, .. } = s else { return };
                 if !a.free_class.contains_key(site) {
                     if let Some(i) = param_idx(v) {

@@ -37,6 +37,10 @@ pub use report::TrapReport;
 pub use ring::{Event, EventKind, EventRing};
 pub use span::{Category, Charge, SpanId, SpanTracer};
 
+/// Capacity of an enabled sink's event ring: the events kept for trap
+/// context. A disabled sink keeps none.
+pub const RING_CAPACITY: usize = 256;
+
 /// Construction-time knobs for a [`Telemetry`] instance.
 ///
 /// `Copy` so it can ride inside `MachineConfig` without breaking that
@@ -46,8 +50,6 @@ pub struct TelemetryConfig {
     /// Master switch. When false, [`Telemetry::record`] and counter updates
     /// return after one branch — the no-op sink of the design notes.
     pub enabled: bool,
-    /// Capacity of the event ring (events kept for trap context).
-    pub ring_capacity: usize,
     /// Span tracing + cycle attribution (the flight recorder). Off by
     /// default: tracing is host-side bookkeeping only — it charges zero
     /// *simulated* cycles either way, so enabling it never perturbs the
@@ -58,14 +60,14 @@ pub struct TelemetryConfig {
 
 impl Default for TelemetryConfig {
     fn default() -> Self {
-        TelemetryConfig { enabled: true, ring_capacity: 256, tracing: false }
+        TelemetryConfig { enabled: true, tracing: false }
     }
 }
 
 impl TelemetryConfig {
     /// A configuration with everything off — the no-op sink.
     pub fn disabled() -> Self {
-        TelemetryConfig { enabled: false, ring_capacity: 0, tracing: false }
+        TelemetryConfig { enabled: false, tracing: false }
     }
 
     /// The default configuration with the flight recorder on.
@@ -100,7 +102,7 @@ impl Telemetry {
     /// Builds a sink; the ring is allocated once here (recording never
     /// allocates).
     pub fn new(config: TelemetryConfig) -> Self {
-        let cap = if config.enabled { config.ring_capacity } else { 0 };
+        let cap = if config.enabled { RING_CAPACITY } else { 0 };
         let tracer = if config.enabled && config.tracing { Some(SpanTracer::new()) } else { None };
         Telemetry {
             config,
@@ -232,7 +234,7 @@ impl Telemetry {
     /// configurations sharing one sink.
     pub fn reset_for_run(&mut self) {
         self.metrics.reset_for_run();
-        let cap = if self.config.enabled { self.config.ring_capacity } else { 0 };
+        let cap = if self.config.enabled { RING_CAPACITY } else { 0 };
         self.ring = EventRing::new(cap);
         if let Some(t) = self.tracer.as_mut() {
             t.reset();
